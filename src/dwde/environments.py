@@ -7,7 +7,7 @@ and positive sites are equally O(1); the Markov kind runs the chain
 forward from a stationary draw at site 0 and the time-reversed chain
 backward, which is the canonical stationary two-sided extension.
 Memoization writes are idempotent (same value for the same site), so
-realizations can be shared across threads.
+a realization reads the same whichever sites were queried before.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ map is an explicit finite-state Markov chain, so the law of the site
 process is computable exactly.  For full-branch maps the symbols are
 i.i.d. and the site process alone is a (site-inhomogeneous) Markov
 chain; for general Markov maps the joint (symbol, site) chain is used.
-All probabilities are exact rationals unless a function is explicitly
-documented as a float fast path.
+All probabilities are exact rationals except in the two float fast
+paths, return_prob_curve and final_distribution, which are thin
+wrappers over one light-cone float DP kernel (_float_dp).
 """
 
 from __future__ import annotations
@@ -200,83 +201,86 @@ def return_prob_by_time(chain: SiteChainDP, start: int, n_steps: int) -> Fractio
 
 def _float_jump_arrays(
     chain: SiteChainDP, lo: int, hi: int
-) -> list[tuple[int, np.ndarray]]:
-    """Per-jump probability arrays over sites lo..hi (site kind only)."""
+) -> tuple[list[int], np.ndarray]:
+    """Sorted jump values and their (jumps x sites) float probabilities
+    over sites lo..hi (site kind only); each distinct per-site
+    Transitions tuple is converted once, then gathered per site."""
     if chain.kind != SITE:
         raise UnsupportedBaseError("float DP fast path needs the site-kind chain")
-    jumps = sorted(
-        {v for i in range(lo, hi + 1) for _, v, _ in chain.transitions_at(i)[0]}
-    )
-    arrays = {v: np.zeros(hi - lo + 1) for v in jumps}
-    for i in range(lo, hi + 1):
-        for _, v, p in chain.transitions_at(i)[0]:
-            arrays[v][i - lo] = float(p)
-    return [(v, arrays[v]) for v in jumps]
+    rows = [chain.transitions_at(i)[0] for i in range(lo, hi + 1)]
+    distinct = list({id(row): row for row in rows}.values())
+    class_of = {id(row): c for c, row in enumerate(distinct)}
+    jumps = sorted({v for row in distinct for _, v, _ in row})
+    position = {v: r for r, v in enumerate(jumps)}
+    table = np.zeros((len(jumps), len(distinct)))
+    for c, row in enumerate(distinct):
+        for _, v, p in row:
+            table[position[v], c] = float(p)
+    return jumps, table[:, [class_of[id(row)] for row in rows]]
+
+
+def _float_dp(
+    chain: SiteChainDP, start: int, n_steps: int, radius: int, absorb: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The float DP kernel: n steps of the site law from `start` on the
+    window start +/- radius; step t updates only the light cone
+    start +/- t*max_jump.
+
+    With `absorb`, mass landing on `start` is banked into curve[t] and
+    sites that cannot reach `start` in the remaining steps are cut.
+    Returns (curve, final site law over the window).
+    """
+    jumps, probs = _float_jump_arrays(chain, start - radius, start + radius)
+    reach = chain.max_jump
+    curve = np.zeros(n_steps + 1)
+    acc = 0.0
+    # dist holds the mass on window positions a..b, zero elsewhere; the
+    # start sits at position radius, and the callers' radius keeps the
+    # cone inside the window
+    a = b = radius
+    dist = np.ones(1)
+    for t in range(1, n_steps + 1):
+        new = np.zeros(b - a + 1 + 2 * reach)
+        for v, p in zip(jumps, probs[:, a : b + 1]):
+            new[reach + v : reach + v + b - a + 1] += dist * p
+        a, b = a - reach, b + reach
+        if absorb:
+            left = (n_steps - t) * reach
+            lo, hi = max(a, radius - left), min(b, radius + left)
+            new = new[lo - a : hi - a + 1]
+            a, b = lo, hi
+            acc += new[radius - a]
+            new[radius - a] = 0.0
+        dist = new
+        curve[t] = acc
+    out = np.zeros(2 * radius + 1)
+    out[a : b + 1] = dist
+    return curve, out
 
 
 def return_prob_curve(chain: SiteChainDP, start: int, n_steps: int) -> np.ndarray:
     """Float64 cumulative return probabilities P(return by t), t = 0..n.
 
-    Fast path for horizons where exact rationals are impractical; same
+    Fast path for horizons where exact rationals are impractical, run
+    on the float DP kernel with absorption at the start site; same
     prune as the exact DP, so the only error is float rounding (each
     entry is a sum of products of exact probabilities, accurate to
     ~n_steps * machine epsilon).
     """
     _check_reach(chain, start, n_steps)
     radius = ((n_steps + 1) // 2) * chain.max_jump
-    lo, hi = start - radius, start + radius
-    jump_arrays = _float_jump_arrays(chain, lo, hi)
-    width = hi - lo + 1
-    dist = np.zeros(width)
-    dist[start - lo] = 1.0
-    curve = np.zeros(n_steps + 1)
-    acc = 0.0
-    start_pos = start - lo
-    for t in range(1, n_steps + 1):
-        new = np.zeros(width)
-        for v, probs in jump_arrays:
-            moved = dist * probs
-            if v >= 0:
-                new[v:] += moved[: width - v] if v else moved
-            else:
-                new[:v] += moved[-v:]
-        acc += new[start_pos]
-        new[start_pos] = 0.0
-        reach = (n_steps - t) * chain.max_jump
-        if radius > reach:
-            cut_lo = start_pos - reach
-            cut_hi = start_pos + reach
-            if cut_lo > 0:
-                new[:cut_lo] = 0.0
-            if cut_hi + 1 < width:
-                new[cut_hi + 1 :] = 0.0
-        dist = new
-        curve[t] = acc
-    return curve
+    return _float_dp(chain, start, n_steps, radius, absorb=True)[0]
 
 
 def final_distribution(chain: SiteChainDP, start: int, n_steps: int) -> np.ndarray:
-    """Float64 site distribution after n steps over start +/- n*max_jump."""
+    """Float64 site distribution after n steps over start +/- n*max_jump,
+    from the float DP kernel without absorption."""
     radius = n_steps * chain.max_jump
-    lo, hi = start - radius, start + radius
     if abs(start) + radius > chain.window:
         raise WindowTooSmallError(
             f"final distribution needs window >= {abs(start) + radius}"
         )
-    jump_arrays = _float_jump_arrays(chain, lo, hi)
-    width = hi - lo + 1
-    dist = np.zeros(width)
-    dist[start - lo] = 1.0
-    for _ in range(n_steps):
-        new = np.zeros(width)
-        for v, probs in jump_arrays:
-            moved = dist * probs
-            if v >= 0:
-                new[v:] += moved[: width - v] if v else moved
-            else:
-                new[:v] += moved[-v:]
-        dist = new
-    return dist
+    return _float_dp(chain, start, n_steps, radius, absorb=False)[1]
 
 
 def hit_before(

@@ -5,13 +5,15 @@ walk statistics.  Finite-horizon divergence is a heuristic, so whenever
 the exact site-chain reduction applies (full-branch base), the same
 rule is evaluated on DP-computed probabilities and the Monte Carlo
 label must agree on every environment; a mismatch fails the run loudly.
-Environments whose per-site jump law coincides share one DP solve.
+Environments whose per-site jump law coincides share one DP solve;
+solves run one after another in the calling thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+# unused here: perfbench/dwdebench/layers.py patches this name, so it stays
+# until that tracer drops its pool wrapper
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -168,24 +170,11 @@ def classify(
     if dp_checked:
         window = config.horizon * config.environment.jump_bound
         cache: dict[bytes, dict] = {}
-        order: list[tuple[int, bytes]] = []
         for e, env in enumerate(envs):
-            order.append((e, _env_fingerprint(m, env, window)))
-        unique = sorted({fp for _, fp in order})
-
-        def solve(fp: bytes) -> tuple[bytes, dict]:
-            e = next(i for i, f in order if f == fp)
-            return fp, _dp_stats(m, envs[e], config.horizon, margin_sites)
-
-        max_workers = _worker_count(len(unique))
-        if max_workers > 1 and len(unique) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                for fp, stats in pool.map(solve, unique):
-                    cache[fp] = stats
-        else:
-            for fp in unique:
-                cache[fp] = solve(fp)[1]
-        dp_rows = [cache[fp] for _, fp in order]
+            fp = _env_fingerprint(m, env, window)
+            if fp not in cache:
+                cache[fp] = _dp_stats(m, env, config.horizon, margin_sites)
+            dp_rows[e] = cache[fp]
 
     verdicts: list[Verdict] = []
     mismatches: list[int] = []
@@ -241,12 +230,6 @@ def classify(
     return result
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("DWDE_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_tasks, limit))
-
-
 def _attach_extras(result: ClassifyResult) -> None:
     """Kind-specific certificates recorded next to the verdicts."""
     config = result.config
@@ -290,10 +273,10 @@ def _attach_extras(result: ClassifyResult) -> None:
             "probability": str(p_up),
             "probability_decimal": float(p_up),
         }
-    if config.kind in ("classify", "zero_one_scan", "transience_check"):
+    elif config.kind in ("classify", "zero_one_scan"):
         sol = _solomon_extras(config)
         if sol is not None:
-            extras.setdefault("solomon", sol)
+            extras["solomon"] = sol
 
 
 def _solomon_extras(config: ScenarioConfig) -> dict | None:

@@ -216,19 +216,40 @@ def iter_cylinders(
         for j in range(m.num_cells)
     ]
     image_sets = m.image_sets
+    # piecewise-linear maps have few distinct cylinder masses per rank, so
+    # the DFS carries a mass-class id: each distinct mass is interned once
+    # and each (class, last symbol) row of child classes is built once
+    masses: list[Fraction] = []
+    class_of: dict[Fraction, int] = {}
 
-    stack: list[tuple[Word, Fraction]] = [
-        ((j,), measures[j]) for j in reversed(range(m.num_cells))
+    def intern(mass: Fraction) -> int:
+        c = class_of.get(mass)
+        if c is None:
+            c = class_of[mass] = len(masses)
+            masses.append(mass)
+        return c
+
+    children: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    stack: list[tuple[Word, int]] = [
+        ((j,), intern(measures[j])) for j in reversed(range(m.num_cells))
     ]
     while stack:
-        word, mass = stack.pop()
+        word, c = stack.pop()
         if len(word) == n:
-            yield word, mass
+            yield word, masses[c]
             continue
         j = word[-1]
-        row = ratios[j]
-        for k in reversed(image_sets[j]):
-            stack.append((word + (k,), mass * row[k]))
+        row = children.get((c, j))
+        if row is None:
+            row = children[(c, j)] = tuple(
+                (k, intern(masses[c] * ratios[j][k])) for k in image_sets[j]
+            )
+        if len(word) == n - 1:
+            for k, child in row:
+                yield word + (k,), masses[child]
+        else:
+            for k, child in reversed(row):
+                stack.append((word + (k,), child))
 
 
 def enumerate_cylinders(

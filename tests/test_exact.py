@@ -74,6 +74,39 @@ def gamblers_ruin_up(p: Fraction, start: int, a: int, b: int) -> Fraction:
     return (rho ** (start - a) - 1) / (rho ** (b - a) - 1)
 
 
+def full_window_dp(chain, start: int, n: int, radius: int, absorb: bool):
+    """Reference float DP: every step updates the whole window start +/-
+    radius, jumps in sorted order; with `absorb`, mass on the start is
+    banked and sites out of reach of it in the remaining steps are cut.
+    """
+    width = 2 * radius + 1
+    rows = [chain.transitions_at(start - radius + i)[0] for i in range(width)]
+    jumps = sorted({v for row in rows for _, v, _ in row})
+    probs = np.zeros((len(jumps), width))
+    for i, row in enumerate(rows):
+        for _, v, p in row:
+            probs[jumps.index(v), i] = float(p)
+    dist = np.zeros(width)
+    dist[radius] = 1.0
+    curve = np.zeros(n + 1)
+    for t in range(1, n + 1):
+        new = np.zeros(width)
+        for v, p in zip(jumps, probs):
+            moved = dist * p
+            if v >= 0:
+                new[v:] += moved[: width - v]
+            else:
+                new[:v] += moved[-v:]
+        if absorb:
+            curve[t] = curve[t - 1] + new[radius]
+            new[radius] = 0.0
+            left = (n - t) * chain.max_jump
+            new[: max(radius - left, 0)] = 0.0
+            new[radius + left + 1 :] = 0.0
+        dist = new
+    return curve, dist
+
+
 class TestBuildSiteChain:
     def test_doubling_symmetric(self):
         env = realize(fixed_model(fn(1, -1)), 0)
@@ -510,3 +543,40 @@ class TestFinalDistribution:
         center = dist[12]
         assert abs(center - _comb(12, 6) / 2**12) < 1e-14
         assert abs(dist.sum() - 1.0) < 1e-12
+
+    def test_light_cone_matches_exact_heterogeneous(self):
+        # i.i.d. sites with jumps up to 3 and a zero-jump cell, started
+        # off the origin; short horizons put the cone on the array edges
+        model = iid_model(
+            [fn(2, -1, 1), fn(-3, 1, 1), fn(1, 0, -2)], ["1/2", "1/4", "1/4"]
+        )
+        env = realize(model, 7)
+        bound = model.jump_bound
+        chain = build_site_chain(triple_map(), env, 50 * bound + 2)
+        for start in (0, 2, -1):
+            for n in (1, 2, 3, 7, 48):
+                curve = return_prob_curve(chain, start, n)
+                exact = return_prob_by_time(chain, start, n)
+                assert abs(curve[n] - float(exact)) < 1e-12, (start, n)
+                # the light cone skips only exact zeros: same bits as a
+                # whole-window update
+                radius = (n + 1) // 2 * bound
+                ref = full_window_dp(chain, start, n, radius, absorb=True)[0]
+                assert np.array_equal(curve, ref), (start, n)
+
+                law = {start: F(1)}
+                for _ in range(n):
+                    step: dict[int, Fraction] = {}
+                    for site, mass in law.items():
+                        for v, p in chain.jump_dist(site).items():
+                            step[site + v] = step.get(site + v, F(0)) + mass * p
+                    law = step
+                dist = final_distribution(chain, start, n)
+                ref = full_window_dp(chain, start, n, n * bound, absorb=False)[1]
+                assert np.array_equal(dist, ref), (start, n)
+                lo = start - n * bound
+                assert len(dist) == 2 * n * bound + 1
+                expect = np.zeros(len(dist))
+                for site, mass in law.items():
+                    expect[site - lo] = float(mass)
+                assert np.abs(dist - expect).max() < 1e-12, (start, n)

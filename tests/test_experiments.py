@@ -137,12 +137,6 @@ class TestClassify:
         with pytest.raises(ConsistencyError):
             classify(config)
 
-    def test_thread_cap_does_not_change_bytes(self, monkeypatch):
-        base = canonical_json(classify_payload(classify(small_config(n_envs=3))))
-        monkeypatch.setenv("DWDE_THREADS", "1")
-        single = canonical_json(classify_payload(classify(small_config(n_envs=3))))
-        assert single == base
-
     def test_dp_memoization_shares_solves(self):
         # identical jump laws across environments: one DP, same numbers
         res = classify(
