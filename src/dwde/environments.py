@@ -6,8 +6,10 @@ i.i.d. kind draws each site through the counter-based PRF, so negative
 and positive sites are equally O(1); the Markov kind runs the chain
 forward from a stationary draw at site 0 and the time-reversed chain
 backward, which is the canonical stationary two-sided extension.
-Memoization writes are idempotent (same value for the same site), so
-a realization reads the same whichever sites were queried before.
+`at()` memoizes the sites it draws, and memo writes are idempotent
+(same value for the same site); an i.i.d. `index_window` draws its
+whole window straight from the PRF without the memo.  Either way a
+realization reads the same whichever sites were queried before.
 """
 
 from __future__ import annotations
@@ -279,15 +281,8 @@ class EnvironmentRealization:
         model = self.model
         if model.kind == IID:
             sites = np.arange(base_lo, base_hi + 1, dtype=np.int64)
-            missing = [i for i in range(base_lo, base_hi + 1) if i not in self._memo]
-            if missing:
-                u = prf.hash_u64_array(self.env_seed, prf.DOMAIN_ENV, array=sites)
-                idx = prf.pick_array(self._thresholds(), u)
-                # idempotent writes: PRF value per site never changes
-                for k, i in enumerate(range(base_lo, base_hi + 1)):
-                    self._memo[i] = int(idx[k])
-                return idx
-            return np.array([self._memo[i] for i in range(base_lo, base_hi + 1)], dtype=np.int64)
+            u = prf.hash_u64_array(self.env_seed, prf.DOMAIN_ENV, array=sites)
+            return prf.pick_array(self._thresholds(), u)
         return np.array(
             [self._base_index(i) for i in range(base_lo, base_hi + 1)], dtype=np.int64
         )

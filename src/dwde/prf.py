@@ -43,22 +43,35 @@ def hash_u64(seed: int, *indices: int) -> int:
     return h
 
 
-def absorb_array(h: np.ndarray | int, k: np.ndarray | int) -> np.ndarray:
+def absorb_array(
+    h: np.ndarray | int, k: np.ndarray | int, out: np.ndarray | None = None
+) -> np.ndarray:
     """One absorb-and-mix round; vector twin of the scalar chain step.
 
-    Either argument may be a scalar or a uint64/int64 array; negative
-    integers are absorbed via their two's-complement 64-bit image.
+    Either argument may be a scalar or a uint64/int64 array, as long as
+    one is an array; negative integers are absorbed via their
+    two's-complement 64-bit image.  A scalar ``k`` is folded into the
+    round's constant, and with ``out`` (a uint64 array of the result's
+    shape) the round runs in place there, so per step of a walk it is
+    one add, three shift-xors and two multiplies.
     """
     def to_u64(x):
         if isinstance(x, np.ndarray):
             return x if x.dtype == np.uint64 else x.astype(np.int64, copy=False).view(np.uint64)
         return np.uint64(x & _MASK)
 
-    with np.errstate(over="ignore"):
-        z = to_u64(h) + np.uint64(_GOLDEN) + to_u64(k)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+    if isinstance(k, np.ndarray):
+        z = np.add(to_u64(h), to_u64(k), out=out)
+        np.add(z, np.uint64(_GOLDEN), out=z)
+    else:
+        z = np.add(to_u64(h), to_u64(_GOLDEN + k), out=out)
+    tmp = np.empty_like(z)
+    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        if mult is not None:
+            np.multiply(z, np.uint64(mult), out=z)
+    return z
 
 
 def hash_u64_array(seed: int, *indices: int, array: np.ndarray) -> np.ndarray:
@@ -90,6 +103,22 @@ def pick(thresholds: np.ndarray, u: int) -> int:
     return int(np.searchsorted(thresholds, np.uint64(u), side="right"))
 
 
-def pick_array(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized categorical draw from interior edges."""
-    return np.searchsorted(thresholds, u, side="right").astype(np.int64)
+def pick_array(
+    thresholds: np.ndarray, u: np.ndarray, out: np.ndarray | None = None, base=0
+) -> np.ndarray:
+    """Vectorized categorical draw from interior edges.
+
+    Counts the edges ``<= u`` one edge at a time, which equals
+    ``np.searchsorted(thresholds, u, side="right")`` and for the few
+    edges of a categorical law is several times faster.  The count is
+    added to ``base`` (a scalar or an array of u's shape) and written
+    to ``out`` (int64) when given.
+    """
+    if out is None:
+        out = np.empty(np.shape(u), dtype=np.int64)
+    out[...] = base
+    hit = np.empty(out.shape, dtype=bool)
+    for edge in thresholds:
+        np.greater_equal(u, edge, out=hit)
+        out += hit
+    return out

@@ -195,7 +195,15 @@ class BatchResult:
 
 
 class _BatchEngine:
-    """Vectorized symbolic walks over flattened (env, walk) pairs."""
+    """Vectorized symbolic walks over flattened (env, walk) pairs.
+
+    Each walk is tracked by its position in one flat (env, site, symbol)
+    table whose entries are the position change of that step, i.e. the
+    site's jump for the symbol times the cell count.  A step is then one
+    PRF round, one compare per interior edge, one gather and one add.
+    Sites are ``(pos - origin) // num_cells``, and for a fixed walk the
+    position is increasing in the site.
+    """
 
     def __init__(
         self,
@@ -212,38 +220,39 @@ class _BatchEngine:
                 "the batched engine samples i.i.d. symbols; "
                 "use scalar simulate() for Markov-branch bases"
             )
-        self.m = m
+        k = self.k = m.num_cells
         n_envs = len(envs)
-        total = n_envs * n_walks
-        model = envs[0].model
-        self.jump_flat = np.array(
-            [f.jumps for f in model.support], dtype=np.int64
-        ).ravel()
-        self.k = m.num_cells
         width = window_hi - window_lo + 1
-        tables = np.empty((n_envs, width), dtype=np.int64)
+        deltas = k * np.array([f.jumps for f in envs[0].model.support], dtype=np.int64)
+        # narrowest signed dtype holding +-max|delta| (int8 for every preset)
+        deltas = deltas.astype(np.min_scalar_type(-1 - int(np.abs(deltas).max())))
+        table = np.empty((n_envs, width, k), dtype=deltas.dtype)
         for e, env in enumerate(envs):
-            tables[e] = env.index_window(window_lo, window_hi)
-        self.env_flat = tables.ravel()
-        self.window_lo = window_lo
-        self.width = width
+            table[e] = deltas[env.index_window(window_lo, window_hi)]
+        self.table = table.ravel()
 
         env_ids = np.repeat(np.arange(n_envs, dtype=np.int64), n_walks)
         walk_ids = np.tile(np.arange(n_walks, dtype=np.int64), n_envs)
         base = prf.hash_u64(master_seed, prf.DOMAIN_WALK)
         self.streams = prf.absorb_array(prf.absorb_array(base, env_ids), walk_ids)
-        self.row_base = env_ids * width
-        self.sites = start_sites.astype(np.int64).copy()
+        self.origin = (env_ids * width - window_lo) * k
+        self.pos = self.origin + start_sites.astype(np.int64) * k
         self.thresholds = prf.choice_thresholds(m.measures)
-
-    def symbols(self, t: int) -> np.ndarray:
-        u = prf.absorb_array(self.streams, t)
-        return prf.pick_array(self.thresholds, u)
+        self._u = np.empty(len(self.pos), dtype=np.uint64)
+        self._idx = np.empty(len(self.pos), dtype=np.int64)
+        self._delta = np.empty(len(self.pos), dtype=self.table.dtype)
 
     def advance(self, t: int) -> None:
-        sym = self.symbols(t)
-        fn_idx = self.env_flat[self.row_base + (self.sites - self.window_lo)]
-        self.sites += self.jump_flat[fn_idx * self.k + sym]
+        u = prf.absorb_array(self.streams, t, out=self._u)
+        idx = prf.pick_array(self.thresholds, u, out=self._idx, base=self.pos)
+        # the window covers every walk's reach, so no index is clipped;
+        # "clip" only lets take write to out without a buffered copy
+        np.take(self.table, idx, out=self._delta, mode="clip")
+        self.pos += self._delta
+
+    def sites(self, pos: np.ndarray | None = None) -> np.ndarray:
+        """Sites of the given positions (default: the current ones)."""
+        return ((self.pos if pos is None else pos) - self.origin) // self.k
 
 
 def _require_budget(total_steps: int, budget: int) -> None:
@@ -285,22 +294,30 @@ def simulate_batch(
     starts = np.full(total, start_site, dtype=np.int64)
     eng = _BatchEngine(m, envs, n_walks, master_seed, starts, lo, hi)
 
-    min_sites = starts.copy()
-    max_sites = starts.copy()
+    min_pos = eng.pos.copy()
+    max_pos = eng.pos.copy()
+    # start positions of the walks that have not returned yet; -1 (never
+    # a table position) once they have
+    pending = eng.pos.copy()
+    returned = np.empty(total, dtype=bool)
     first_return = np.full(total, -1, dtype=np.int64)
     for t in range(1, n_steps + 1):
         eng.advance(t)
-        np.minimum(min_sites, eng.sites, out=min_sites)
-        np.maximum(max_sites, eng.sites, out=max_sites)
-        hit = (first_return < 0) & (eng.sites == starts)
-        if hit.any():
-            first_return[hit] = t
+        np.minimum(min_pos, eng.pos, out=min_pos)
+        np.maximum(max_pos, eng.pos, out=max_pos)
+        np.equal(eng.pos, pending, out=returned)
+        if returned.any():
+            first_return[returned] = t
+            pending[returned] = -1
+    final_sites = eng.sites()
+    min_sites = eng.sites(min_pos)
+    max_sites = eng.sites(max_pos)
     out = []
     for e in range(n_envs):
         sl = slice(e * n_walks, (e + 1) * n_walks)
         out.append(
             BatchResult(
-                final_sites=eng.sites[sl].copy(),
+                final_sites=final_sites[sl].copy(),
                 min_sites=min_sites[sl].copy(),
                 max_sites=max_sites[sl].copy(),
                 first_return_times=first_return[sl].copy(),
@@ -392,7 +409,7 @@ def taboo_hit(
     outcome = np.zeros(n, dtype=np.int8)  # 0 undecided, 1 success, 2 failed
     for t in range(1, query.horizon + 1):
         eng.advance(t)
-        blocks = np.floor_divide(eng.sites, bound)
+        blocks = np.floor_divide(eng.sites(), bound)
         undecided = outcome == 0
         in_target = blocks == query.target_block
         if query.taboo_block is None:
@@ -421,11 +438,6 @@ class EnvSummary:
     def return_fraction(self) -> float:
         fr = self.result.first_return_times
         return float((fr >= 0).mean())
-
-    @property
-    def final_quantiles(self) -> tuple[int, int, int]:
-        q = np.quantile(self.result.final_sites, [0.25, 0.5, 0.75])
-        return tuple(int(v) for v in q)
 
     @property
     def direction_votes(self) -> dict[str, int]:

@@ -54,6 +54,39 @@ class TestPrf:
         with pytest.raises(ValueError):
             prf.choice_thresholds((F(1, 2), F(1, 3)))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (F(1, 3), F(2, 3)),
+            (F(1, 3), F(1, 6), F(1, 2)),
+            (F(1, 6), F(1, 3), F(1, 12), F(1, 4), F(1, 6)),
+            (F(1, 2), F(0), F(1, 2)),  # a zero weight repeats an edge
+        ],
+    )
+    def test_pick_array_is_searchsorted_right(self, weights):
+        t = prf.choice_thresholds(weights)
+        probes = {0, 2**64 - 1}
+        for edge in t.tolist():
+            probes |= {edge - 1, edge, edge + 1}
+        u = np.array(sorted(probes), dtype=np.uint64)
+        want = np.searchsorted(t, u, side="right")
+        assert np.array_equal(prf.pick_array(t, u), want)
+        base = np.arange(len(u), dtype=np.int64) * 10
+        out = np.empty(len(u), dtype=np.int64)
+        got = prf.pick_array(t, u, out=out, base=base)
+        assert got is out and np.array_equal(out, base + want)
+        assert [prf.pick(t, int(x)) for x in u] == want.tolist()
+
+    def test_absorb_array_out_matches_scalar_chain(self):
+        h = prf.hash_u64_array(3, prf.DOMAIN_WALK, array=np.arange(-50, 50, dtype=np.int64))
+        out = np.empty_like(h)
+        for k in (0, 7, -1, 2**64 - 1):
+            got = prf.absorb_array(h, k, out=out)
+            assert got is out
+            assert np.array_equal(out, prf.absorb_array(h, k))
+            for i in (0, 49, 99):
+                assert int(out[i]) == prf.hash_u64(3, prf.DOMAIN_WALK, i - 50, k)
+
 
 class TestModels:
     def test_fixed(self):

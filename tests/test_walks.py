@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from dwde import prf
 from dwde.environments import fixed_model, fn, iid_model, realize, shift
 from dwde.errors import BudgetExceededError, HorizonZeroError
 from dwde.exact import build_site_chain, return_prob_curve
@@ -113,8 +114,6 @@ class TestSymbolicLaw:
         # 10^6 seeded draws of the first 6 symbols: every length-6 word
         # frequency within a golden multinomial threshold of the exact
         # cylinder measure
-        from dwde import prf
-
         m = triple_map()
         n_draws, length = 10**6, 6
         base = prf.hash_u64(99, prf.DOMAIN_WALK)
@@ -227,6 +226,66 @@ class TestBatch:
         assert np.all(res.final_sites <= res.max_sites)
         # parity: after an even number of +/-1 steps the site is even
         assert np.all((res.final_sites % 2) == 0)
+
+
+class TestBatchBitIdentity:
+    """The batched engine against a plain per-walk loop over the scalar PRF.
+
+    Unequal cell measures, jump bound 2 and two i.i.d. environments, so
+    an off-by-one in the folded (env, site, symbol) table, the symbol
+    count or the walk streams changes some walk.
+    """
+
+    m = build_map(
+        ["0", "1/3", "1/2", "1"], [("3", "0"), ("6", "-2"), ("2", "-1")]
+    )
+    model = iid_model(
+        [fn(2, -1, 0), fn(-2, 1, -1), fn(0, 2, 1)], ["1/2", "1/3", "1/6"]
+    )
+
+    def walk(self, env, seed, e, w, start, n_steps):
+        thresholds = prf.choice_thresholds(self.m.measures)
+        site = start
+        for t in range(1, n_steps + 1):
+            u = prf.hash_u64(seed, prf.DOMAIN_WALK, e, w, t)
+            site += env.at(site).jumps[prf.pick(thresholds, u)]
+            yield t, site
+
+    def test_simulate_batch_matches_per_walk_loop(self):
+        envs = [realize(self.model, s) for s in (11, 12)]
+        n_walks, n_steps, seed, start = 40, 60, 2024, 3
+        res = simulate_batch(self.m, envs, n_walks, n_steps, seed, start_site=start)
+        for e, env in enumerate(envs):
+            for w in range(n_walks):
+                lo = hi = site = start
+                first = -1
+                for t, site in self.walk(env, seed, e, w, start, n_steps):
+                    lo, hi = min(lo, site), max(hi, site)
+                    if first < 0 and site == start:
+                        first = t
+                r = res[e]
+                assert (
+                    r.final_sites[w], r.min_sites[w], r.max_sites[w], r.first_return_times[w]
+                ) == (site, lo, hi, first)
+
+    @pytest.mark.parametrize("taboo", [-2, None])
+    def test_taboo_hit_matches_per_walk_loop(self, taboo):
+        env = realize(self.model, 12)
+        q = TabooQuery(start_block=0, target_block=2, taboo_block=taboo, horizon=40)
+        n_walks, seed = 300, 77
+        successes = 0
+        for w in range(n_walks):
+            start = prf.hash_u64(seed, prf.DOMAIN_START, w) % 2
+            for _, site in self.walk(env, seed, 0, w, start, q.horizon):
+                block = site // 2
+                if block == q.target_block:
+                    successes += 1
+                    break
+                if block == q.taboo_block:
+                    break
+        res = taboo_hit(self.m, env, q, n_walks, walk_seed=seed)
+        assert 0 < successes < n_walks
+        assert res.successes == successes
 
 
 class TestTaboo:
