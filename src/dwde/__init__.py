@@ -29,6 +29,7 @@ from .exact import (
     build_site_chain,
     final_distribution,
     first_passage_measure,
+    float_dp_stack,
     hit_before,
     path_counts,
     path_probability,

@@ -5,9 +5,11 @@ map is an explicit finite-state Markov chain, so the law of the site
 process is computable exactly.  For full-branch maps the symbols are
 i.i.d. and the site process alone is a (site-inhomogeneous) Markov
 chain; for general Markov maps the joint (symbol, site) chain is used.
-All probabilities are exact rationals except in the two float fast
-paths, return_prob_curve and final_distribution, which are thin
-wrappers over one light-cone float DP kernel (_float_dp).
+All probabilities are exact rationals except in the float fast paths,
+which all run on one light-cone float DP kernel (_float_dp) that
+advances a stack of solves together: return_prob_curve and
+final_distribution are single-chain wrappers (a stack of one), and
+float_dp_stack gives the curves and final laws of many chains at once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, log
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -219,43 +221,69 @@ def _float_jump_arrays(
     return jumps, table[:, [class_of[id(row)] for row in rows]]
 
 
-def _float_dp(
-    chain: SiteChainDP, start: int, n_steps: int, radius: int, absorb: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The float DP kernel: n steps of the site law from `start` on the
-    window start +/- radius; step t updates only the light cone
-    start +/- t*max_jump.
+# steps between trims of the all-zero rows at the edges of the cone
+_TRIM_EVERY = 16
 
-    With `absorb`, mass landing on `start` is banked into curve[t] and
-    sites that cannot reach `start` in the remaining steps are cut.
-    Returns (curve, final site law over the window).
+
+def _float_dp(
+    jumps: list[int], probs: np.ndarray, n_steps: int, reach: int, absorb: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The float DP kernel: n steps of a stack of site laws, all started
+    at the centre of the window and advanced together.
+
+    `probs` is the site-major (jumps x sites x solves) table of the
+    probability of each sorted jump value over the window start +/-
+    radius, radius = (sites - 1) // 2; a solve lacking a jump value has
+    probability 0 there, and adding its +0.0 products changes no bit.
+    Step t updates only the light cone start +/- t*reach, and every
+    _TRIM_EVERY steps the rows at the cone's edges that are zero in
+    every solve are dropped, so only exact zeros are skipped.  With
+    `absorb`, mass landing on `start` is banked into curve[t] and sites
+    that cannot reach `start` in the remaining steps are cut.
+    Returns (curves (steps + 1 x solves), final laws (sites x solves)).
     """
-    jumps, probs = _float_jump_arrays(chain, start - radius, start + radius)
-    reach = chain.max_jump
-    curve = np.zeros(n_steps + 1)
-    acc = 0.0
-    # dist holds the mass on window positions a..b, zero elsewhere; the
-    # start sits at position radius, and the callers' radius keeps the
-    # cone inside the window
+    radius = (probs.shape[1] - 1) // 2
+    solves = probs.shape[2]
+    # one flat row per jump value: site i of solve s is entry
+    # i * solves + s, so a jump v moves mass by v * solves entries
+    flat = probs.reshape(len(jumps), -1)
+    shift = reach * solves
+    offsets = [shift + v * solves for v in jumps]
+    returned = np.zeros((n_steps + 1, solves))
+    # dist holds the mass on window sites a..b, zero elsewhere; the start
+    # sits at site radius, and the callers' radius keeps the cone inside
+    # the window
     a = b = radius
-    dist = np.ones(1)
+    dist = np.ones(solves)
     for t in range(1, n_steps + 1):
-        new = np.zeros(b - a + 1 + 2 * reach)
-        for v, p in zip(jumps, probs[:, a : b + 1]):
-            new[reach + v : reach + v + b - a + 1] += dist * p
+        size = (b - a + 1) * solves
+        new = np.zeros(size + 2 * shift)
+        for at, p in zip(offsets, flat[:, a * solves : (b + 1) * solves]):
+            new[at : at + size] += dist * p
         a, b = a - reach, b + reach
         if absorb:
             left = (n_steps - t) * reach
             lo, hi = max(a, radius - left), min(b, radius + left)
-            new = new[lo - a : hi - a + 1]
+            new = new[(lo - a) * solves : (hi - a + 1) * solves]
             a, b = lo, hi
-            acc += new[radius - a]
-            new[radius - a] = 0.0
+            at = (radius - a) * solves
+            returned[t] = new[at : at + solves]
+            new[at : at + solves] = 0.0
+        if t % _TRIM_EVERY == 0:
+            live = new != 0
+            first = int(live.argmax())
+            if live[first]:
+                lo = first // solves
+                hi = (live.size - 1 - int(live[::-1].argmax())) // solves
+                if absorb:  # keep the start's row to bank returns into
+                    lo, hi = min(lo, radius - a), max(hi, radius - a)
+                new = new[lo * solves : (hi + 1) * solves]
+                a, b = a + lo, a + hi
         dist = new
-        curve[t] = acc
-    out = np.zeros(2 * radius + 1)
-    out[a : b + 1] = dist
-    return curve, out
+    out = np.zeros((2 * radius + 1, solves))
+    out[a : b + 1] = dist.reshape(-1, solves)
+    # the running sum of the banked mass, added in step order
+    return np.cumsum(returned, axis=0), out
 
 
 def return_prob_curve(chain: SiteChainDP, start: int, n_steps: int) -> np.ndarray:
@@ -269,7 +297,9 @@ def return_prob_curve(chain: SiteChainDP, start: int, n_steps: int) -> np.ndarra
     """
     _check_reach(chain, start, n_steps)
     radius = ((n_steps + 1) // 2) * chain.max_jump
-    return _float_dp(chain, start, n_steps, radius, absorb=True)[0]
+    jumps, probs = _float_jump_arrays(chain, start - radius, start + radius)
+    curve = _float_dp(jumps, probs[:, :, None], n_steps, chain.max_jump, absorb=True)[0]
+    return curve[:, 0]
 
 
 def final_distribution(chain: SiteChainDP, start: int, n_steps: int) -> np.ndarray:
@@ -280,7 +310,49 @@ def final_distribution(chain: SiteChainDP, start: int, n_steps: int) -> np.ndarr
         raise WindowTooSmallError(
             f"final distribution needs window >= {abs(start) + radius}"
         )
-    return _float_dp(chain, start, n_steps, radius, absorb=False)[1]
+    jumps, probs = _float_jump_arrays(chain, start - radius, start + radius)
+    law = _float_dp(jumps, probs[:, :, None], n_steps, chain.max_jump, absorb=False)[1]
+    return law[:, 0]
+
+
+def float_dp_stack(
+    chains: Iterable[SiteChainDP], start: int, n_steps: int, reach: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return curves and final site laws of a stack of site-kind chains,
+    advanced together on the float DP kernel: one absorbing pass and one
+    free pass for the whole stack.
+
+    Row s of each result belongs to the s-th chain: curves[s] equals
+    return_prob_curve(chain, start, n_steps) and laws[s] is the site law
+    over start +/- n_steps*reach, which is final_distribution's padded
+    with zeros where a chain's own max_jump is below `reach`.  Each chain
+    is read once, right when it is drawn, and only its float columns are
+    kept, so a generator of chains holds one chain at a time.
+    """
+    radius = n_steps * reach
+    columns = []
+    for chain in chains:
+        if chain.max_jump > reach:
+            raise ValueError(f"max_jump {chain.max_jump} exceeds reach {reach}")
+        if abs(start) + radius > chain.window:
+            raise WindowTooSmallError(
+                f"float DP stack needs window >= {abs(start) + radius}"
+            )
+        columns.append(_float_jump_arrays(chain, start - radius, start + radius))
+    if not columns:
+        raise ValueError("float DP stack needs at least one chain")
+    jumps = sorted({v for chain_jumps, _ in columns for v in chain_jumps})
+    position = {v: r for r, v in enumerate(jumps)}
+    probs = np.zeros((len(jumps), 2 * radius + 1, len(columns)))
+    for s, (chain_jumps, table) in enumerate(columns):
+        for v, row in zip(chain_jumps, table):
+            probs[position[v], :, s] = row
+    half = ((n_steps + 1) // 2) * reach
+    curves = _float_dp(
+        jumps, probs[:, radius - half : radius + half + 1], n_steps, reach, absorb=True
+    )[0]
+    laws = _float_dp(jumps, probs, n_steps, reach, absorb=False)[1]
+    return curves.T, laws.T
 
 
 def hit_before(

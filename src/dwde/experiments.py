@@ -5,8 +5,9 @@ walk statistics.  Finite-horizon divergence is a heuristic, so whenever
 the exact site-chain reduction applies (full-branch base), the same
 rule is evaluated on DP-computed probabilities and the Monte Carlo
 label must agree on every environment; a mismatch fails the run loudly.
-Environments whose per-site jump law coincides share one DP solve;
-solves run one after another in the calling thread.
+Environments whose per-site jump law coincides share one DP solve, and
+the distinct solves are stacked, up to DP_STACK at a time, into one
+float DP pass (exact.float_dp_stack) in the calling thread.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .errors import BudgetExceededError, ConsistencyError
 from .exact import (
     site_dist_of,
     build_site_chain,
-    final_distribution,
+    float_dp_stack,
     hit_before,
-    return_prob_curve,
     solomon_classifier,
     transience_certificate,
 )
@@ -53,6 +53,10 @@ LABELS = (RECURRENT_LIKE, TRANSIENT_PLUS, TRANSIENT_MINUS, SPLIT, INCONCLUSIVE)
 DIVERGENCE_FRACTION = 0.95
 LATE_RETURN_FRACTION = 0.01
 SPLIT_FRACTION = 0.20
+
+# most DP solves advanced together in one float DP pass, so the stack's
+# memory does not grow with n_envs
+DP_STACK = 8
 
 
 def _label_from_stats(
@@ -109,19 +113,18 @@ def _mc_stats(res: BatchResult, horizon: int, margin_sites: float) -> dict:
     }
 
 
-def _dp_stats(m, env, horizon: int, margin_sites: float) -> dict:
-    """Exact-in-law statistics of the same quantities via float DP."""
-    bound = env.model.jump_bound
-    window = horizon * bound + 1
-    chain = build_site_chain(m, env, window)
-    curve = return_prob_curve(chain, 0, horizon)
-    dist = final_distribution(chain, 0, horizon)
-    sites = np.arange(-horizon * bound, horizon * bound + 1)
+def _dp_stats(
+    curve: np.ndarray, law: np.ndarray, horizon: int, margin_sites: float
+) -> dict:
+    """Exact-in-law statistics of the same quantities from one solve's
+    float DP return curve and final site law (centred on site 0)."""
+    half = len(law) // 2
+    sites = np.arange(-half, half + 1)
     return {
         "dp_return_prob": float(curve[horizon]),
         "dp_late_return_prob": float(curve[horizon] - curve[horizon // 2]),
-        "dp_right_prob": float(dist[sites > margin_sites].sum()),
-        "dp_left_prob": float(dist[sites < -margin_sites].sum()),
+        "dp_right_prob": float(law[sites > margin_sites].sum()),
+        "dp_left_prob": float(law[sites < -margin_sites].sum()),
     }
 
 
@@ -168,13 +171,30 @@ def classify(
     dp_checked = m.full_branch
     dp_rows: list[dict | None] = [None] * config.n_envs
     if dp_checked:
-        window = config.horizon * config.environment.jump_bound
-        cache: dict[bytes, dict] = {}
-        for e, env in enumerate(envs):
-            fp = _env_fingerprint(m, env, window)
-            if fp not in cache:
-                cache[fp] = _dp_stats(m, env, config.horizon, margin_sites)
-            dp_rows[e] = cache[fp]
+        bound = config.environment.jump_bound
+        window = config.horizon * bound
+        # each environment takes the solve of the first one that shares
+        # its fingerprint
+        seen: dict[bytes, int] = {}
+        first = [
+            seen.setdefault(_env_fingerprint(m, env, window), e)
+            for e, env in enumerate(envs)
+        ]
+        solve = [e for e, f in enumerate(first) if f == e]
+        stats: dict[int, dict] = {}
+        for k in range(0, len(solve), DP_STACK):
+            stack = solve[k : k + DP_STACK]
+            # a generator: each chain is dropped once the stack has read
+            # its float columns
+            curves, laws = float_dp_stack(
+                (build_site_chain(m, envs[e], window + 1) for e in stack),
+                0,
+                config.horizon,
+                bound,
+            )
+            for e, curve, law in zip(stack, curves, laws):
+                stats[e] = _dp_stats(curve, law, config.horizon, margin_sites)
+        dp_rows = [stats[f] for f in first]
 
     verdicts: list[Verdict] = []
     mismatches: list[int] = []

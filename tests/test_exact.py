@@ -25,6 +25,7 @@ from dwde.exact import (
     build_site_chain,
     final_distribution,
     first_passage_measure,
+    float_dp_stack,
     hit_before,
     path_counts,
     path_probability,
@@ -580,3 +581,54 @@ class TestFinalDistribution:
                 for site, mass in law.items():
                     expect[site - lo] = float(mass)
                 assert np.abs(dist - expect).max() < 1e-12, (start, n)
+
+
+class TestFloatDpStack:
+    def _chains(self, window):
+        # different jump sets, a zero jump, and a window that misses the
+        # model's largest jump (3), so the stack's reach exceeds it
+        mixed = iid_model(
+            [fn(2, -1, 1), fn(-3, 1, 1), fn(1, 0, -2)], ["1/2", "1/4", "1/4"]
+        )
+        rare = iid_model([fn(1, -1), fn(3, -3)], ["999/1000", "1/1000"])
+        chains = [
+            build_site_chain(triple_map(), realize(mixed, 7), window),
+            build_site_chain(doubling_map(), realize(fixed_model(fn(2, -1)), 0), window),
+            build_site_chain(doubling_map(), realize(fixed_model(fn(0, 1)), 0), window),
+            build_site_chain(doubling_map(), realize(rare, 2), window),
+        ]
+        assert [c.max_jump for c in chains] == [3, 2, 1, 1]
+        return chains
+
+    def test_matches_single_chain_wrappers(self):
+        reach = 3
+        chains = self._chains(48 * reach + 2)
+        for start in (0, -1):
+            for n in (1, 2, 3, 7, 48):
+                curves, laws = float_dp_stack(iter(chains), start, n, reach)
+                assert curves.shape == (len(chains), n + 1)
+                assert laws.shape == (len(chains), 2 * n * reach + 1)
+                for chain, curve, law in zip(chains, curves, laws):
+                    key = (chain.max_jump, start, n)
+                    single = return_prob_curve(chain, start, n)
+                    assert np.array_equal(curve, single), key
+                    half = (n + 1) // 2 * reach
+                    ref = full_window_dp(chain, start, n, half, absorb=True)[0]
+                    assert np.array_equal(curve, ref), key
+                    # the chain's own law, padded with zeros out to the reach
+                    own = n * chain.max_jump
+                    pad = n * reach - own
+                    single = final_distribution(chain, start, n)
+                    assert np.array_equal(law[pad : pad + 2 * own + 1], single), key
+                    assert not law[:pad].any() and not law[pad + 2 * own + 1 :].any()
+                    ref = full_window_dp(chain, start, n, n * reach, absorb=False)[1]
+                    assert np.array_equal(law, ref), key
+
+    def test_guards(self):
+        chains = self._chains(20)
+        with pytest.raises(WindowTooSmallError):
+            float_dp_stack(chains, 0, 7, 3)  # needs a window of 21
+        with pytest.raises(ValueError):
+            float_dp_stack(chains, 0, 2, 2)  # below the first chain's max_jump
+        with pytest.raises(ValueError):
+            float_dp_stack([], 0, 2, 3)

@@ -3,11 +3,13 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dwde.config import ScenarioConfig, canonical_json
-from dwde.environments import fixed_model, fn, iid_model
+from dwde.environments import fixed_model, fn, iid_model, realize
 from dwde.errors import BudgetExceededError
+from dwde.exact import build_site_chain, final_distribution, return_prob_curve
 from dwde.experiments import (
     INCONCLUSIVE,
     RECURRENT_LIKE,
@@ -27,7 +29,7 @@ from dwde.reports import (
     scan_payload,
     verdicts_csv,
 )
-from dwde.walks import run_ensemble
+from dwde.walks import env_seed_for, run_ensemble
 
 F = Fraction
 
@@ -54,6 +56,24 @@ def _scan_config():
         kind="zero_one_scan",
         environment=iid_model([fn(1, 1, -1), fn(1, -1, 1)]),
     )
+
+
+def per_env_dp(config, e):
+    """The four DP evidence fields of environment e, solved on its own
+    with the single-chain wrappers."""
+    env = realize(config.environment, env_seed_for(config.master_seed, e))
+    n = config.horizon
+    chain = build_site_chain(config.map, env, n * config.environment.jump_bound + 1)
+    curve = return_prob_curve(chain, 0, n)
+    dist = final_distribution(chain, 0, n)
+    sites = np.arange(-n * chain.max_jump, n * chain.max_jump + 1)
+    margin = float(config.divergence_margin) * n
+    return chain.max_jump, {
+        "dp_return_prob": float(curve[n]),
+        "dp_late_return_prob": float(curve[n] - curve[n // 2]),
+        "dp_right_prob": float(dist[sites > margin].sum()),
+        "dp_left_prob": float(dist[sites < -margin].sum()),
+    }
 
 
 class TestLabelRule:
@@ -146,6 +166,46 @@ class TestClassify:
         )
         probs = {v.evidence["dp_return_prob"] for v in res.verdicts}
         assert len(probs) == 1
+
+    @pytest.mark.parametrize(
+        "environment, n_envs",
+        [
+            # drift mixture: every environment its own solve, two stacks
+            (
+                iid_model([fn(1, 1, 1), fn(1, 1, -1), fn(1, 0, -1)], ["1/4", "1/2", "1/4"]),
+                10,
+            ),
+            # {g, -g}: one shared solve
+            (iid_model([fn(1, 1, -1), fn(1, -1, 1)], ["1/3", "2/3"]), 3),
+        ],
+    )
+    def test_stacked_dp_evidence_matches_single_solves(self, environment, n_envs):
+        config = small_config(
+            environment=environment, n_envs=n_envs, n_walks=20, horizon=90
+        )
+        res = classify(config, strict=False)
+        keys = ("dp_return_prob", "dp_late_return_prob", "dp_right_prob", "dp_left_prob")
+        for v in res.verdicts:
+            _, expect = per_env_dp(config, v.env_index)
+            assert {k: v.evidence[k] for k in keys} == expect, v.env_index
+
+    def test_window_missing_the_largest_jump(self):
+        # no site of either window draws the rare +/-2 function, so each
+        # chain's max_jump is 1 while the model's jump bound is 2
+        config = small_config(
+            map=doubling_map(),
+            environment=iid_model([fn(1, -1), fn(2, -2)], ["999/1000", "1/1000"]),
+            n_envs=2,
+            n_walks=50,
+            horizon=10,
+            master_seed=1,
+        )
+        res = classify(config, strict=False)
+        for v in res.verdicts:
+            max_jump, expect = per_env_dp(config, v.env_index)
+            assert max_jump == 1
+            for key, value in expect.items():
+                assert v.evidence[key] == pytest.approx(value, abs=1e-15), key
 
 
 class TestScan:
