@@ -249,7 +249,7 @@ def _cmd_exact(args) -> int:
         m, env = _load_map_env(args)
         bound = env.model.jump_bound
         window = abs(args.start) + ((args.steps + 1) // 2 + 1) * bound
-        chain = build_site_chain(m, env, window)
+        chain = build_site_chain(m, env, window, joint=not m.full_branch)
         value = return_prob_by_time(chain, args.start, args.steps)
         _emit(
             {"return_probability": _rational_out(value), "steps": args.steps},
@@ -259,7 +259,7 @@ def _cmd_exact(args) -> int:
     if args.exact_command == "hit":
         m, env = _load_map_env(args)
         window = max(abs(args.down), abs(args.up)) + 1
-        chain = build_site_chain(m, env, window)
+        chain = build_site_chain(m, env, window, joint=not m.full_branch)
         value = hit_before(chain, args.start, args.down, args.up)
         _emit(
             {

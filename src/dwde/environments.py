@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 from . import prf
-from .errors import InvalidModelError
+from .elimination import RHS, solve
+from .errors import InvalidModelError, SingularSystemError
 from .interval_maps import RationalLike, as_fraction
 
 
@@ -173,30 +175,20 @@ def _irreducible(rows: tuple[tuple[Fraction, ...], ...]) -> bool:
 def _solve_stationary(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
     """Exact stationary vector of an irreducible stochastic matrix."""
     n = len(rows)
-    # solve pi (P - I) = 0 with sum(pi) = 1: transpose and replace the
-    # last equation by the normalization
-    a = [[rows[j][k] - (1 if j == k else 0) for j in range(n)] for k in range(n)]
-    a[n - 1] = [Fraction(1)] * n
-    b = [Fraction(0)] * (n - 1) + [Fraction(1)]
-    pi = _gauss_solve(a, b)
-    return tuple(pi)
-
-
-def _gauss_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    n = len(a)
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise InvalidModelError("singular stationary system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    # solve pi (P - I) = 0 with sum(pi) = 1: transpose, replace the last
+    # equation by the normalization and scale each equation to integers
+    system = {}
+    for k in range(n - 1):
+        coeffs = [rows[j][k] - (1 if j == k else 0) for j in range(n)]
+        den = lcm(*(x.denominator for x in coeffs))
+        system[k] = {
+            j: x.numerator * (den // x.denominator) for j, x in enumerate(coeffs) if x
+        }
+    system[n - 1] = {**{j: 1 for j in range(n)}, RHS: 1}
+    try:
+        return tuple(solve(system, range(n)))
+    except SingularSystemError:
+        raise InvalidModelError("singular stationary system") from None
 
 
 def _reversed_rows(

@@ -5,15 +5,21 @@ map is an explicit finite-state Markov chain, so the law of the site
 process is computable exactly.  For full-branch maps the symbols are
 i.i.d. and the site process alone is a (site-inhomogeneous) Markov
 chain; for general Markov maps the joint (symbol, site) chain is used.
-All probabilities are exact rationals except in the float fast paths,
-which all run on one light-cone float DP kernel (_float_dp) that
-advances a stack of solves together: return_prob_curve and
-final_distribution are single-chain wrappers (a stack of one), and
-float_dp_stack gives the curves and final laws of many chains at once.
+All probabilities are exact rationals except in the float fast paths.
+The exact inner loops run on Python ints: return_prob_by_time and
+first_passage_measure carry integer numerators over one common
+denominator per step, hit_before is one banded fraction-free
+elimination (elimination.solve), and each builds one Fraction per
+returned value.  The float fast paths all run on one light-cone float
+DP kernel (_float_dp) that advances a stack of solves together:
+return_prob_curve and final_distribution are single-chain wrappers (a
+stack of one), and float_dp_stack gives the curves and final laws of
+many chains at once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, log
@@ -21,12 +27,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .elimination import RHS, solve
 from .environments import EnvironmentRealization, TransitionFunction
 from .errors import (
     DegenerateAlphaError,
     EnumerationTooLargeError,
     HypothesisViolatedError,
-    SingularSystemError,
     UnsupportedBaseError,
     UnsupportedJumpsError,
     WindowTooSmallError,
@@ -175,30 +181,68 @@ def return_prob_by_time(chain: SiteChainDP, start: int, n_steps: int) -> Fractio
     """Exact probability of returning to the start site within n steps.
 
     States that can no longer return in the remaining time are pruned,
-    which certifies the absence of boundary truncation.
+    which certifies the absence of boundary truncation.  The law is
+    carried as integer numerators: every transition probability over
+    one common denominator D, so the mass after t steps is over
+    D^t times the initial law's, and one Fraction is built at the end.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     _check_reach(chain, start, n_steps)
-    mass: dict[tuple[int, int], Fraction] = {
-        (j, start): p for j, p in enumerate(chain.init) if p != 0
+    half = ((n_steps + 1) // 2) * chain.max_jump
+    den, weights = _common_weights(chain, start - half, start + half)
+    # state (layer j, site i) is the int key i * layers + j; its moves are
+    # (next key, distance of the landing site from the start, numerator)
+    layers = chain.layers
+    moves = {
+        i * layers + j: tuple(
+            ((i + v) * layers + k, abs(i + v - start), w) for k, v, w in row
+        )
+        for i, rows in weights.items()
+        for j, row in enumerate(rows)
     }
-    returned = Fraction(0)
+    init_den = lcm(*(p.denominator for p in chain.init))
+    mass = {
+        start * layers + j: p.numerator * (init_den // p.denominator)
+        for j, p in enumerate(chain.init)
+        if p != 0
+    }
+    returned = 0  # over init_den * den**t after step t
     for t in range(1, n_steps + 1):
-        new: dict[tuple[int, int], Fraction] = {}
+        new: dict[int, int] = {}
         reach = (n_steps - t) * chain.max_jump
-        for (j, site), m_js in mass.items():
-            for k, v, p in chain.transitions_at(site)[j]:
-                land = site + v
-                if land == start:
-                    returned += m_js * p
-                elif abs(land - start) <= reach:
-                    key = (k, land)
-                    new[key] = new.get(key, Fraction(0)) + m_js * p
+        back = 0
+        for key, c in mass.items():
+            for to, dist, w in moves[key]:
+                if not dist:
+                    back += c * w
+                elif dist <= reach:
+                    got = new.get(to)
+                    new[to] = c * w if got is None else got + c * w
+        returned = returned * den + back
         mass = new
         if not mass:
             break
-    return returned
+    return Fraction(returned, init_den * den**t)
+
+
+def _common_weights(
+    chain: SiteChainDP, lo: int, hi: int
+) -> tuple[int, dict[int, tuple[tuple[tuple[int, int, int], ...], ...]]]:
+    """The chain's transitions over sites lo..hi with every probability
+    as an integer over one common denominator: (den, {site: per-layer
+    rows of (next_layer, jump, numerator)}).  Each distinct Transitions
+    tuple is converted once."""
+    at = {i: chain.transitions_at(i) for i in range(lo, hi + 1)}
+    distinct = {id(trans): trans for layers in at.values() for trans in layers}
+    den = lcm(*(p.denominator for trans in distinct.values() for _, _, p in trans))
+    ints = {
+        key: tuple((k, v, p.numerator * (den // p.denominator)) for k, v, p in trans)
+        for key, trans in distinct.items()
+    }
+    return den, {
+        i: tuple(ints[id(trans)] for trans in layers) for i, layers in at.items()
+    }
 
 
 def _float_jump_arrays(
@@ -360,82 +404,42 @@ def hit_before(
 ) -> Fraction:
     """Exact probability of reaching >= target_b before <= target_a.
 
-    Solved as a linear system in exact rationals; +/-1 site chains use
-    a tridiagonal elimination, everything else dense Gauss.
+    The hitting system (I - Q) h = r has one unknown per (layer, site)
+    strictly between the targets.  Its rows are scaled to integers and
+    ordered site-major, which makes it banded with half-width below
+    (max_jump + 1) * layers, and one fraction-free elimination
+    (elimination.solve) removes the unknowns from both ends toward the
+    start site's, so its cost is linear in the number of sites.
+    SingularSystemError when the walk can stay between the targets
+    forever with positive probability.
     """
     if not target_a < start < target_b:
         raise ValueError("need target_a < start < target_b")
     if max(abs(target_a), abs(target_b)) > chain.window:
         raise WindowTooSmallError("targets outside materialized window")
-    if chain.kind == SITE and chain.max_jump == 1:
-        return _hit_before_tridiagonal(chain, start, target_a, target_b)
-    return _hit_before_dense(chain, start, target_a, target_b)
-
-
-def _hit_before_tridiagonal(
-    chain: SiteChainDP, start: int, a: int, b: int
-) -> Fraction:
-    p_up: dict[int, Fraction] = {}
-    p_dn: dict[int, Fraction] = {}
-    p_stay: dict[int, Fraction] = {}
-    for i in range(a + 1, b):
-        for _, v, p in chain.transitions_at(i)[0]:
-            {1: p_up, -1: p_dn, 0: p_stay}[v][i] = p
-    # forward sweep: h(i) = alpha_i h(i+1) + beta_i with h(a)=0, h(b)=1;
-    # holding probability folded into the normalization
-    alpha, beta = Fraction(0), Fraction(0)
-    coeffs = []
-    for i in range(a + 1, b):
-        stay = p_stay.get(i, Fraction(0))
-        q = p_dn.get(i, Fraction(0))
-        p = p_up.get(i, Fraction(0))
-        den = 1 - stay - q * alpha
-        if den == 0:
-            raise SingularSystemError("tridiagonal elimination broke down")
-        alpha, beta = p / den, q * beta / den
-        coeffs.append((alpha, beta))
-    h = Fraction(1)  # h(b)
-    for i in range(b - 1, start - 1, -1):
-        alpha, beta = coeffs[i - (a + 1)]
-        h = alpha * h + beta
-    return h
-
-
-def _hit_before_dense(chain: SiteChainDP, start: int, a: int, b: int) -> Fraction:
-    index: dict[tuple[int, int], int] = {}
-    for i in range(a + 1, b):
-        for j in range(chain.layers):
-            index[(j, i)] = len(index)
-    n = len(index)
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n)]
-    for (j, i), r in index.items():
-        rows[r][r] = Fraction(1)
-        for k, v, p in chain.transitions_at(i)[j]:
-            land = i + v
-            if land >= b:
-                rows[r][n] += p
-            elif land > a:
-                rows[r][index[(k, land)]] -= p
-    sol = _solve_dense(rows)
-    return sum(
-        chain.init[j] * sol[index[(j, start)]] for j in range(chain.layers)
-    )
-
-
-def _solve_dense(rows: list[list[Fraction]]) -> list[Fraction]:
-    n = len(rows)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystemError("dense hitting system is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [rows[r][n] for r in range(n)]
+    a, b, layers = target_a, target_b, chain.layers
+    den, weights_at = _common_weights(chain, a + 1, b - 1)
+    rows: dict[int, dict[int, int]] = {}
+    for i, per_layer in weights_at.items():
+        for j, weights in enumerate(per_layer):
+            r = (i - a - 1) * layers + j
+            row = {r: den}
+            rhs = 0
+            for k, v, w in weights:
+                land = i + v
+                if land >= b:
+                    rhs += w
+                elif land > a:
+                    c = (land - a - 1) * layers + k
+                    row[c] = row.get(c, 0) - w
+            if rhs:
+                row[RHS] = rhs
+            rows[r] = {c: x for c, x in row.items() if x}
+    first = (start - a - 1) * layers
+    n = (b - a - 1) * layers
+    order = itertools.chain(range(first), range(n - 1, first + layers - 1, -1))
+    h = solve(rows, range(first, first + layers), order, (chain.max_jump + 1) * layers)
+    return sum(chain.init[j] * h[j] for j in range(layers))
 
 
 def path_counts(n_max: int, k_max: int) -> list[list[int]]:
@@ -448,31 +452,39 @@ def path_counts(n_max: int, k_max: int) -> list[list[int]]:
         raise ValueError("need n_max >= 0 and k_max >= 1")
     table = [[0] * (k_max + 1) for _ in range(n_max + 1)]
     for k in range(1, k_max + 1):
-        if k == 1:
-            table[0][1] = 1
-            continue
-        # corridor positions -1 .. -(k-1), index 0 .. k-2; a path of
-        # length t+1 first hits -k iff it sits at -(k-1) at time t
-        width = k - 1
-        counts = [0] * width
-        counts[0] = 1  # time 1: the first step must go down
-        length_needed = {2 * n + k: n for n in range(n_max + 1)}
-        if 2 in length_needed:  # only k = 2 has a length-2 passage
-            table[length_needed[2]][k] = counts[width - 1]
-        for t in range(2, 2 * n_max + k):
-            new = [0] * width
-            for pos in range(width):
-                c = counts[pos]
-                if not c:
-                    continue
-                if pos > 0:
-                    new[pos - 1] += c
-                if pos + 1 < width:
-                    new[pos + 1] += c
-            counts = new
-            if (t + 1) in length_needed:
-                table[length_needed[t + 1]][k] = counts[width - 1]
+        for n, c in enumerate(_passage_column(n_max, k)):
+            table[n][k] = c
     return table
+
+
+def _passage_column(n_max: int, k: int) -> list[int]:
+    """Column k of path_counts: c[n][k] for n = 0..n_max."""
+    column = [0] * (n_max + 1)
+    if k == 1:
+        column[0] = 1
+        return column
+    # corridor positions -1 .. -(k-1), index 0 .. k-2; a path of
+    # length t+1 first hits -k iff it sits at -(k-1) at time t
+    width = k - 1
+    counts = [0] * width
+    counts[0] = 1  # time 1: the first step must go down
+    length_needed = {2 * n + k: n for n in range(n_max + 1)}
+    if 2 in length_needed:  # only k = 2 has a length-2 passage
+        column[length_needed[2]] = counts[width - 1]
+    for t in range(2, 2 * n_max + k):
+        new = [0] * width
+        for pos in range(width):
+            c = counts[pos]
+            if not c:
+                continue
+            if pos > 0:
+                new[pos - 1] += c
+            if pos + 1 < width:
+                new[pos + 1] += c
+        counts = new
+        if (t + 1) in length_needed:
+            column[length_needed[t + 1]] = counts[width - 1]
+    return column
 
 
 @dataclass(frozen=True)
@@ -505,54 +517,64 @@ def first_passage_measure(
     if not m.full_branch:
         raise UnsupportedBaseError("first-passage reduction needs a full-branch base")
     sites = range(-k, 1) if direction == -1 else range(0, k + 1)
-    dists: dict[int, dict[int, Fraction]] = {}
+    # jump laws as integers over den, the lcm of the cell measures'
+    den = lcm(*(p.denominator for p in m.measures))
+    cell_weights = [p.numerator * (den // p.denominator) for p in m.measures]
+    dists: dict[int, dict[int, int]] = {}
     plus_counts = set()
     for i in sites:
         f = env.at(i)
         if not f.values <= {1, -1}:
             raise UnsupportedJumpsError(f"site {i} has jumps {sorted(f.values)}")
-        d: dict[int, Fraction] = {}
+        d: dict[int, int] = {}
         for j, v in enumerate(f.jumps):
-            d[v] = d.get(v, Fraction(0)) + m.measures[j]
+            d[v] = d.get(v, 0) + cell_weights[j]
         dists[i] = d
         plus_counts.add(sum(1 for v in f.jumps if v == (1 if direction == 1 else -1)))
 
     target = direction * k
     horizon = 2 * n_max + k
-    corridor: dict[int, Fraction] = {}
-    value = Fraction(0)
-    first = dists[0].get(direction, Fraction(0))
-    if k == 1:
-        value = first
-    elif first:
-        corridor[direction] = first
-    for _ in range(2, horizon + 1):
+    # corridor masses and the banked value are over den**steps
+    first = dists[0].get(direction, 0)
+    value = first if k == 1 else 0
+    corridor = {direction: first} if k > 1 and first else {}
+    steps = 1
+    for t in range(2, horizon + 1):
         if not corridor:
             break
-        new: dict[int, Fraction] = {}
+        new: dict[int, int] = {}
+        hit = 0
         for i, mass in corridor.items():
-            for v, p in dists[i].items():
+            for v, w in dists[i].items():
                 land = i + v
                 if land == target:
-                    value += mass * p
+                    hit += mass * w
                 elif land != 0 and abs(land) < k:
-                    new[land] = new.get(land, Fraction(0)) + mass * p
+                    got = new.get(land)
+                    new[land] = mass * w if got is None else got + mass * w
         corridor = new
+        value = value * den + hit
+        steps = t
 
     bound = None
     if len(plus_counts) == 1:
         toward = plus_counts.pop()
         away = m.num_cells - toward
         sup_g = gibbs_bounds(m).sup_g
-        counts = path_counts(n_max, k)
-        bound = (
-            Fraction(toward) ** k
-            * sup_g**k
-            * sum(
-                counts[n][k] * (Fraction(away * toward) * sup_g**2) ** n
-                for n in range(n_max + 1)
-            )
+        counts = _passage_column(n_max, k)
+        # sum_n c_n (x/y)^n with x/y = away * toward * sup_g^2, as the
+        # integer sum_n c_n x^n y^(n_max - n) over y^n_max
+        x = away * toward * sup_g.numerator**2
+        y = sup_g.denominator**2
+        total, x_n = 0, 1
+        for n in range(n_max + 1):
+            total = total * y + counts[n] * x_n
+            x_n *= x
+        bound = Fraction(
+            (toward * sup_g.numerator) ** k * total,
+            sup_g.denominator**k * y**n_max,
         )
+    value = Fraction(value, den**steps)
     return FirstPassageResult(value=value, comparison_bound=bound, horizon=horizon)
 
 

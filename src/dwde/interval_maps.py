@@ -10,10 +10,11 @@ Maps are immutable after construction; all operations are pure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import log
+from math import lcm, log
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -85,6 +86,50 @@ class MarkovIntervalMap:
     def cell_interval(self, j: int) -> tuple[Fraction, Fraction]:
         return self.breakpoints[j], self.breakpoints[j + 1]
 
+    def coding(self, x: Fraction) -> Iterator[int]:
+        """The symbols of x, Tx, T^2 x, ... without end: the exact orbit
+        coder, equal step for step to cell_of and apply on Fractions.
+
+        The point is an integer numerator N over a denominator D, and its
+        cell is found by integer compares of N against the interior
+        breakpoints times D.  With slopes and intercepts over their lcm
+        S, a step is N <- (S s) N + (S t) D and D <- S D.  S = 1 for
+        integer branches, so D and the scaled breakpoints stay fixed and
+        a step is one multiplication by a small integer and one add.
+        OutOfDomainError on the first symbol when x is outside [0, 1].
+        """
+        if x < 0 or x > 1:
+            raise OutOfDomainError(f"{x} is outside [0, 1]")
+        scale, slopes, intercepts, common, interior = self._integer_branches
+        # N / D = x with D = x.denominator * common, so that every
+        # breakpoint times D is an integer
+        n = x.numerator * common
+        thresholds = [b * x.denominator for b in interior]
+        shifts = [t * x.denominator * common for t in intercepts]
+        while True:
+            j = bisect_right(thresholds, n)
+            yield j
+            n = slopes[j] * n + shifts[j]
+            if scale != 1:
+                thresholds = [b * scale for b in thresholds]
+                shifts = [t * scale for t in shifts]
+
+    @cached_property
+    def _integer_branches(self) -> tuple[int, list[int], list[int], int, list[int]]:
+        """(S, slopes * S, intercepts * S, L, interior breakpoints * L) with
+        S the lcm of the branch denominators and L the interior
+        breakpoints'."""
+        scale = lcm(*(v.denominator for v in self.slopes + self.intercepts))
+        interior = self.breakpoints[1:-1]
+        common = lcm(*(b.denominator for b in interior))
+        return (
+            scale,
+            [s.numerator * (scale // s.denominator) for s in self.slopes],
+            [t.numerator * (scale // t.denominator) for t in self.intercepts],
+            common,
+            [b.numerator * (common // b.denominator) for b in interior],
+        )
+
 
 def build_map(
     breakpoints: Sequence[RationalLike],
@@ -148,14 +193,8 @@ def orbit(m: MarkovIntervalMap, x: RationalLike, n: int) -> list[Fraction]:
 
 
 def symbols_of_orbit(m: MarkovIntervalMap, x: RationalLike, n: int) -> Word:
-    """The first n symbols of the coding of x."""
-    x = as_fraction(x)
-    word = []
-    for _ in range(n):
-        j = m.cell_of(x)
-        word.append(j)
-        x = m.slopes[j] * x + m.intercepts[j]
-    return tuple(word)
+    """The first n symbols of the coding of x (MarkovIntervalMap.coding)."""
+    return tuple(j for _, j in zip(range(n), m.coding(as_fraction(x))))
 
 
 def is_admissible(m: MarkovIntervalMap, word: Iterable[int]) -> bool:

@@ -2,10 +2,12 @@
 
 Two simulation modes.  Exact mode iterates the base map on a rational
 point, which is meaningful at desk-scale horizons (digits grow at most
-linearly).  Symbolic mode never touches the base point: under Lebesgue
-measure the symbol stream is an explicit i.i.d. (full branch) or
-Markov (general branch) process, so sampling symbols reproduces the
-walk's law exactly while costing O(1) per step.  Symbol draws come from
+linearly); it reads its symbols from the map's integer orbit coder
+(MarkovIntervalMap.coding), while `step` applies the map on Fractions
+and serves as its reference.  Symbolic mode never touches the base
+point: under Lebesgue measure the symbol stream is an explicit i.i.d.
+(full branch) or Markov (general branch) process, so sampling symbols
+reproduces the walk's law exactly while costing O(1) per step.  Symbol draws come from
 the counter-based PRF keyed on (seed, env index, walk index, step), so
 ensembles are reproducible and order-independent; batches are evaluated
 as numpy vectors across all (environment, walk) pairs at once.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
@@ -142,23 +145,16 @@ def simulate(
     hit_times: dict[int, int] = {}
     path = [site] if record_every else None
 
-    sampler = None
-    x = None
     if mode == SYMBOLIC:
-        sampler = _SymbolSampler(m, walk_seed)
+        symbols = map(_SymbolSampler(m, walk_seed).draw, count(1))
     elif mode == EXACT:
         if start.x is None:
             raise ValueError("exact mode needs a rational start point")
-        x = Fraction(start.x)
+        symbols = m.coding(Fraction(start.x))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    for t in range(1, n_steps + 1):
-        if sampler is not None:
-            j = sampler.draw(t)
-        else:
-            j = m.cell_of(x)
-            x = m.slopes[j] * x + m.intercepts[j]
+    for t, j in zip(range(1, n_steps + 1), symbols):
         site += env.at(site).jumps[j]
         if site < min_site:
             min_site = site

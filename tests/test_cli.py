@@ -5,7 +5,10 @@ import json
 import pytest
 
 from dwde.cli import main
-from dwde.config import canonical_json, scenario_to_dict
+from dwde.config import canonical_json, load_env_block, scenario_to_dict
+from dwde.environments import realize
+from dwde.exact import build_site_chain, hit_before, return_prob_by_time
+from dwde.interval_maps import map_from_spec
 from dwde.presets import get_preset
 
 
@@ -155,6 +158,67 @@ class TestExact:
 
     def test_solomon_bad_pair(self, capsys):
         assert main(["exact", "solomon", "--alpha", "nonsense"]) == 2
+
+
+# cell 0 (slope 2) maps onto cells 0 and 1 only: not full branch
+MARKOV_MAP = {
+    "breakpoints": ["0", "1/3", "2/3", "1"],
+    "branches": [
+        {"slope": "2", "intercept": "0"},
+        {"slope": "3", "intercept": "-1"},
+        {"slope": "3", "intercept": "-2"},
+    ],
+}
+
+
+def _oracle_bytes(map_path, env_path, joint, query):
+    """What `dwde exact hit|return` must print: the oracle's value on
+    the chain of the given kind, as the CLI renders it."""
+    with open(map_path, encoding="utf-8") as fh:
+        m = map_from_spec(json.load(fh))
+    model, seed = load_env_block(env_path)
+    env = realize(model, seed)
+    if query[0] == "hit":
+        _, down, up = query
+        chain = build_site_chain(m, env, max(-down, up) + 1, joint=joint)
+        value = hit_before(chain, 0, down, up)
+        key, extra = "hit_up_before_down", {"targets": [down, up]}
+    else:
+        _, steps = query
+        chain = build_site_chain(m, env, steps, joint=joint)
+        value = return_prob_by_time(chain, 0, steps)
+        key, extra = "return_probability", {"steps": steps}
+    return canonical_json({key: {"value": str(value), "decimal": float(value)}, **extra})
+
+
+def _run_exact(map_path, env_path, query):
+    kind, *values = query
+    flags = ("--down", "--up") if kind == "hit" else ("--steps",)
+    args = [x for flag, v in zip(flags, values) for x in (flag, str(v))]
+    return main(["exact", kind, "--map", map_path, "--env", env_path] + args)
+
+
+class TestExactChainKind:
+    """`exact hit` and `exact return` use the site chain on full-branch
+    maps and the joint (symbol, site) chain on every other Markov map."""
+
+    @pytest.fixture
+    def markov_files(self, tmp_path):
+        map_path = tmp_path / "markov.json"
+        map_path.write_text(json.dumps(MARKOV_MAP))
+        env_path = tmp_path / "env.json"
+        env_path.write_text(json.dumps({"kind": "fixed", "support": [[1, -1, 1]]}))
+        return str(map_path), str(env_path)
+
+    @pytest.mark.parametrize("query", [("hit", -6, 9), ("return", 8)])
+    def test_markov_map_uses_joint_chain(self, markov_files, capsys, query):
+        assert _run_exact(*markov_files, query) == 0
+        assert capsys.readouterr().out == _oracle_bytes(*markov_files, True, query)
+
+    @pytest.mark.parametrize("query", [("hit", -10, 10), ("return", 4)])
+    def test_full_branch_output_is_the_site_chain(self, spec_files, capsys, query):
+        assert _run_exact(*spec_files, query) == 0
+        assert capsys.readouterr().out == _oracle_bytes(*spec_files, False, query)
 
 
 class TestStructure:

@@ -20,6 +20,7 @@ from dwde.environments import (
     shift,
     symmetry_and_bounds,
     two_sided_model,
+    _solve_stationary,
 )
 from dwde.errors import InvalidModelError
 
@@ -135,6 +136,19 @@ class TestModels:
         g, h = fn(1, -1), fn(-1, 1)
         model = markov_model([g, h], [["3/4", "1/4"], ["1/2", "1/2"]])
         assert model.stationary == (F(2, 3), F(1, 3))
+
+    def test_three_state_stationary_solved(self):
+        rows = [["0", "1", "0"], ["0", "0", "1"], ["1/3", "1/3", "1/3"]]
+        model = markov_model([fn(1, -1), fn(-1, 1), fn(1, 1)], rows)
+        assert model.stationary == (F(1, 6), F(1, 3), F(1, 2))
+
+    def test_singular_stationary_system(self):
+        # markov_model rejects a reducible matrix before solving; its
+        # stationary system is singular, and the solve says so itself
+        with pytest.raises(InvalidModelError):
+            _solve_stationary(((F(1), F(0)), (F(0), F(1))))
+        with pytest.raises(InvalidModelError):
+            _solve_stationary(((F(1), F(0), F(0)), (F(0), F(1, 2), F(1, 2)), (F(0), F(1, 2), F(1, 2))))
 
 
 class TestRealization:

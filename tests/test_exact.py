@@ -1,6 +1,7 @@
 """Exact-oracle tests: DP vs enumeration, closed forms, certificates."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from dwde.environments import (
     fixed_model,
     fn,
     iid_model,
+    markov_model,
+    periodic_model,
     realize,
     reflect,
     two_sided_model,
@@ -17,6 +20,7 @@ from dwde.environments import (
 from dwde.errors import (
     DegenerateAlphaError,
     HypothesisViolatedError,
+    SingularSystemError,
     UnsupportedBaseError,
     UnsupportedJumpsError,
     WindowTooSmallError,
@@ -41,6 +45,7 @@ from dwde.interval_maps import (
     cylinder_measure,
     doubling_map,
     enumerate_cylinders,
+    gibbs_bounds,
     triple_map,
 )
 
@@ -52,6 +57,100 @@ def slopes_244_map():
         ["0", "1/2", "3/4", "1"],
         [("2", "0"), ("4", "-2"), ("4", "-3")],
     )
+
+
+# cell 0 (slope 2) covers cells 0 and 1 only: a Markov, not full-branch, map
+NON_FULL_MAP = build_map(["0", "1/3", "2/3", "1"], [("2", "0"), ("3", "-1"), ("3", "-2")])
+# cell measures 1/4, 1/4, 1/2
+QUARTER_MAP = build_map(["0", "1/4", "1/2", "1"], [("4", "0"), ("4", "-1"), ("2", "-1")])
+
+
+def fraction_return_prob(chain, start: int, n: int) -> Fraction:
+    """Reference for return_prob_by_time: the same pruned DP, with every
+    mass a Fraction."""
+    mass = {(j, start): p for j, p in enumerate(chain.init) if p != 0}
+    returned = F(0)
+    for t in range(1, n + 1):
+        new = {}
+        reach = (n - t) * chain.max_jump
+        for (j, site), m_js in mass.items():
+            for k, v, p in chain.transitions_at(site)[j]:
+                land = site + v
+                if land == start:
+                    returned += m_js * p
+                elif abs(land - start) <= reach:
+                    new[(k, land)] = new.get((k, land), F(0)) + m_js * p
+        mass = new
+    return returned
+
+
+def fraction_first_passage(m, env, k: int, n_max: int, direction: int):
+    """Reference (value, comparison_bound) for first_passage_measure, in
+    Fraction arithmetic."""
+    sites = range(-k, 1) if direction == -1 else range(0, k + 1)
+    dists = {}
+    for i in sites:
+        d = {}
+        for j, v in enumerate(env.at(i).jumps):
+            d[v] = d.get(v, F(0)) + m.measures[j]
+        dists[i] = d
+    toward = {sum(1 for v in env.at(i).jumps if v == direction) for i in sites}
+    value = F(0)
+    corridor = {}
+    first = dists[0].get(direction, F(0))
+    if k == 1:
+        value = first
+    elif first:
+        corridor[direction] = first
+    for _ in range(2, 2 * n_max + k + 1):
+        new = {}
+        for i, mass in corridor.items():
+            for v, p in dists[i].items():
+                land = i + v
+                if land == direction * k:
+                    value += mass * p
+                elif land != 0 and abs(land) < k:
+                    new[land] = new.get(land, F(0)) + mass * p
+        corridor = new
+    if len(toward) != 1:
+        return value, None
+    r = toward.pop()
+    g = gibbs_bounds(m).sup_g
+    c = path_counts(n_max, k)
+    series = sum(c[n][k] * (F((m.num_cells - r) * r) * g**2) ** n for n in range(n_max + 1))
+    return value, F(r) ** k * g**k * series
+
+
+def dense_hitting(chain, a: int, b: int) -> dict[int, Fraction]:
+    """Reference for hit_before: P(reach >= b before <= a) from every
+    site strictly between, by dense Gauss-Jordan elimination on Fractions
+    over the (layer, site) unknowns."""
+    index = {}
+    for i in range(a + 1, b):
+        for j in range(chain.layers):
+            index[(j, i)] = len(index)
+    n = len(index)
+    rows = [[F(0)] * (n + 1) for _ in range(n)]
+    for (j, i), r in index.items():
+        rows[r][r] = F(1)
+        for k, v, p in chain.transitions_at(i)[j]:
+            if i + v >= b:
+                rows[r][n] += p
+            elif i + v > a:
+                rows[r][index[(k, i + v)]] -= p
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return {
+        i: sum(chain.init[j] * rows[index[(j, i)]][n] for j in range(chain.layers))
+        for i in range(a + 1, b)
+    }
 
 
 def brute_force_passage_count(n: int, k: int) -> int:
@@ -285,11 +384,101 @@ class TestHitBefore:
         chain = build_site_chain(quad, env, 50)
         assert hit_before(chain, 0, -50, 50) == F(1, 2)
 
-    def test_dense_matches_tridiagonal(self):
+    def test_joint_and_site_chains_agree(self):
+        # one solver for both kinds: 3 layers per site against 1
         env = realize(fixed_model(fn(1, 1, -1)), 0)
         joint = build_site_chain(triple_map(), env, 8, joint=True)
         site = build_site_chain(triple_map(), env, 8)
         assert hit_before(joint, 0, -5, 5) == hit_before(site, 0, -5, 5)
+
+    def test_joint_chain_budget(self):
+        # 99 sites x 3 layers = 297 unknowns; a dense solve is cubic in
+        # that, the banded elimination linear in the sites
+        env = realize(iid_model([fn(2, -1, 1), fn(-2, 1, 1), fn(1, -1, -2)]), 5)
+        chain = build_site_chain(triple_map(), env, 51, joint=True)
+        t0 = time.perf_counter()
+        h = hit_before(chain, 3, -49, 51)
+        assert time.perf_counter() - t0 < 1.0
+        assert 0 < h < 1
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_trap_between_targets_is_singular(self, joint):
+        # site 0 jumps 0 on every cell: from it the walk never leaves
+        env = realize(two_sided_model(fn(1, 1, -1), fn(1, -1, -1), origin=fn(0, 0, 0)), 0)
+        chain = build_site_chain(triple_map(), env, 6, joint=joint)
+        with pytest.raises(SingularSystemError):
+            hit_before(chain, 2, -5, 5)
+
+    def test_trap_on_markov_branch_map_is_singular(self):
+        env = realize(periodic_model([fn(1, -1, 1), fn(0, 0, 0), fn(-1, 1, -1)]), 0)
+        chain = build_site_chain(NON_FULL_MAP, env, 8, joint=True)
+        with pytest.raises(SingularSystemError):
+            hit_before(chain, 0, -7, 8)
+
+
+class TestIntegerKernelsMatchFractions:
+    """The integer-numerator DPs and the banded solve against references
+    that do every step in Fraction arithmetic."""
+
+    def test_return_prob_site_chain(self):
+        support = [fn(3, -1, -2), fn(-3, 1, 2), fn(1, -2, 0)]
+        env = realize(iid_model(support, ["1/2", "1/3", "1/6"]), 11)
+        chain = build_site_chain(QUARTER_MAP, env, 40)
+        assert chain.max_jump == 3
+        for start in (0, 2, -5):
+            for n in (1, 2, 7, 16):
+                want = fraction_return_prob(chain, start, n)
+                assert return_prob_by_time(chain, start, n) == want
+
+    def test_return_prob_joint_chain(self):
+        support = [fn(1, -1, 1), fn(-1, 1, -1)]
+        env = realize(markov_model(support, [["2/3", "1/3"], ["1/3", "2/3"]]), 4)
+        chain = build_site_chain(NON_FULL_MAP, env, 30, joint=True)
+        for start in (0, -3):
+            for n in (1, 4, 9, 24):
+                want = fraction_return_prob(chain, start, n)
+                assert return_prob_by_time(chain, start, n) == want
+
+    @pytest.mark.parametrize(
+        "m, model",
+        [
+            (triple_map(), iid_model([fn(1, 1, -1), fn(1, -1, 1), fn(-1, 1, 1)])),
+            (QUARTER_MAP, iid_model([fn(1, 1, -1), fn(-1, 1, -1)])),
+            (QUARTER_MAP, fixed_model(fn(-1, 1, 1))),
+        ],
+    )
+    def test_first_passage(self, m, model):
+        env = realize(model, 8)
+        for direction in (-1, 1):
+            for k, n_max in ((1, 4), (2, 6), (5, 20)):
+                got = first_passage_measure(m, env, k, n_max, direction)
+                value, bound = fraction_first_passage(m, env, k, n_max, direction)
+                assert got.value == value
+                assert got.comparison_bound == bound
+
+    @pytest.mark.parametrize(
+        "m, model, a, b, joint",
+        [
+            # 11 sites x 3 layers = 33 unknowns
+            (triple_map(), iid_model([fn(2, -1, 1), fn(-2, 1, 1), fn(1, -1, -2)]), -4, 8, True),
+            # 14 sites x 3 layers on a Markov-branch map
+            (
+                NON_FULL_MAP,
+                markov_model([fn(2, -1, 1), fn(-1, 2, -2)], [["1/2", "1/2"], ["1/4", "3/4"]]),
+                -9, 6, True,
+            ),
+            # 39 sites x 3 layers = 117 unknowns
+            (triple_map(), iid_model([fn(2, -2, 1), fn(-1, 2, -1)], ["2/3", "1/3"]), -14, 26, True),
+            (QUARTER_MAP, iid_model([fn(2, -1, -2), fn(-1, 1, 2)]), -13, 20, False),
+        ],
+    )
+    def test_hit_before_matches_dense_gauss(self, m, model, a, b, joint):
+        env = realize(model, 2)
+        chain = build_site_chain(m, env, max(-a, b), joint=joint)
+        assert chain.max_jump == 2
+        want = dense_hitting(chain, a, b)
+        for start in sorted({a + 1, a + 3, 0, b - 2, b - 1}):
+            assert hit_before(chain, start, a, b) == want[start], start
 
 
 class TestPathCounts:

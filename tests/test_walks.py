@@ -8,9 +8,9 @@ from scipy.stats import ks_2samp
 
 from dwde import prf
 from dwde.environments import fixed_model, fn, iid_model, realize, shift
-from dwde.errors import BudgetExceededError, HorizonZeroError
+from dwde.errors import BudgetExceededError, HorizonZeroError, OutOfDomainError
 from dwde.exact import build_site_chain, return_prob_curve
-from dwde.interval_maps import build_map, doubling_map, triple_map
+from dwde.interval_maps import apply, build_map, doubling_map, symbols_of_orbit, triple_map
 from dwde.walks import (
     uniform_rational_start,
     TabooQuery,
@@ -89,6 +89,66 @@ class TestSimulateExact:
         diffs = np.abs(np.diff(traj.sites))
         assert diffs.max() <= 1
         assert abs(traj.final_site) <= 200
+
+
+# branches with non-integer slopes and intercepts, so the integer coder
+# rescales its denominator every step: x -> 5x/2 on [0, 2/5) and
+# x -> 5x/3 - 2/3 on [2/5, 1]; and an orientation-reversing variant
+# x -> 1 - 3x on [0, 1/3), x -> 3x/2 - 1/2 on [1/3, 1]
+FIVE_HALVES = (["0", "2/5", "1"], [("5/2", "0"), ("5/3", "-2/3")])
+REVERSING = (["0", "1/3", "1"], [("-3", "1"), ("3/2", "-1/2")])
+# breakpoints, the end points, a preimage of each breakpoint and generic points
+CODER_STARTS = (F(0), F(2, 5), F(1), F(4, 25), F(1, 3), F(2, 9), F(1, 7), F(3, 11), F(13, 17), F(2, 3))
+
+
+class TestExactCoderMatchesFractions:
+    """symbols_of_orbit and exact-mode simulate run on the integer orbit
+    coder; apply, cell_of and step stay on Fractions, so each step of
+    the coder can be checked against them."""
+
+    @pytest.mark.parametrize("spec", [FIVE_HALVES, REVERSING])
+    def test_symbols_of_orbit(self, spec):
+        m = build_map(*spec)
+        for x0 in CODER_STARTS:
+            x, word = x0, []
+            for _ in range(60):
+                word.append(m.cell_of(x))
+                x = apply(m, x)
+            assert symbols_of_orbit(m, x0, 60) == tuple(word), x0
+
+    @pytest.mark.parametrize("spec", [FIVE_HALVES, REVERSING])
+    def test_simulate_exact(self, spec):
+        m = build_map(*spec)
+        env = realize(iid_model([fn(1, -1), fn(-1, 1), fn(2, -1), fn(0, 1)]), 3)
+        targets, every, n = (-2, 3), 3, 45
+        for x0 in CODER_STARTS:
+            traj = simulate(
+                m, env, WalkState(x0, 1), n, mode="exact",
+                hit_targets=targets, record_every=every,
+            )
+            state, sites = WalkState(x0, 1), [1]
+            for _ in range(n):
+                state = step(m, env, state)
+                sites.append(state.site)
+            assert traj.final_site == sites[-1]
+            assert (traj.min_site, traj.max_site) == (min(sites), max(sites))
+            returns = [t for t in range(1, n + 1) if sites[t] == 1]
+            assert traj.first_return_time == (returns[0] if returns else None)
+            hits = {}
+            for t in range(n, 0, -1):
+                if sites[t] in targets:
+                    hits[sites[t]] = t
+            assert traj.hit_times == hits
+            assert traj.sites == sites[::every]
+
+    def test_out_of_domain(self):
+        m = build_map(*FIVE_HALVES)
+        env = realize(fixed_model(fn(1, -1)), 0)
+        assert symbols_of_orbit(m, F(3, 2), 0) == ()
+        with pytest.raises(OutOfDomainError):
+            symbols_of_orbit(m, F(3, 2), 1)
+        with pytest.raises(OutOfDomainError):
+            simulate(m, env, WalkState(F(-1, 2), 0), 5, mode="exact")
 
 
 class TestShiftIdentity:
