@@ -5,7 +5,10 @@ map is an explicit finite-state Markov chain, so the law of the site
 process is computable exactly.  For full-branch maps the symbols are
 i.i.d. and the site process alone is a (site-inhomogeneous) Markov
 chain; for general Markov maps the joint (symbol, site) chain is used.
-All probabilities are exact rationals except in the float fast paths.
+A chain holds its site window as one class per site plus the distinct
+per-class transition rows (SiteChainDP), built from one index_window
+draw of a realization.  All probabilities are exact rationals except in
+the float fast paths.
 The exact inner loops run on Python ints: return_prob_by_time and
 first_passage_measure carry integer numerators over one common
 denominator per step, hit_before is one banded fraction-free
@@ -14,7 +17,8 @@ returned value.  The float fast paths all run on one light-cone float
 DP kernel (_float_dp) that advances a stack of solves together:
 return_prob_curve and final_distribution are single-chain wrappers (a
 stack of one), and float_dp_stack gives the curves and final laws of
-many chains at once.
+many chains at once; each reads a chain's float jump table as one
+gather from its per-class float rows (_float_jump_arrays).
 """
 
 from __future__ import annotations
@@ -54,22 +58,37 @@ class SiteChainDP:
     p_i(v) = sum of cell measures with jump v (full-branch reduction).
     kind "joint": one layer per partition cell with symbol-conditional
     transitions m(a_k)/m(T a_j); exact for any Markov base.
+
+    The window [-W, W] is held as one class per site (`classes`, site i
+    at index i + W) and the distinct per-class transitions (`rows`,
+    one Transitions per layer), so sites with the same law share a row.
     """
 
     kind: str
     window: int
     layers: int
     init: tuple[Fraction, ...]
-    site_transitions: dict[int, tuple[Transitions, ...]]
+    classes: np.ndarray
+    rows: tuple[tuple[Transitions, ...], ...]
     max_jump: int
 
-    def transitions_at(self, site: int) -> tuple[Transitions, ...]:
-        try:
-            return self.site_transitions[site]
-        except KeyError:
+    def classes_of(self, lo: int, hi: int) -> np.ndarray:
+        """The classes of sites lo..hi, a view of `classes`."""
+        if lo < -self.window or hi > self.window:
+            site = lo if lo < -self.window else hi
             raise WindowTooSmallError(
                 f"site {site} outside materialized window [-{self.window}, {self.window}]"
-            ) from None
+            )
+        return self.classes[lo + self.window : hi + self.window + 1]
+
+    def transitions_at(self, site: int) -> tuple[Transitions, ...]:
+        return self.rows[self.classes_of(site, site)[0]]
+
+    @property
+    def site_transitions(self) -> dict[int, tuple[Transitions, ...]]:
+        """Every window site's transitions, as a mapping site -> row."""
+        rows = self.rows
+        return {i: rows[c] for i, c in enumerate(self.classes.tolist(), -self.window)}
 
     def jump_dist(self, site: int) -> dict[int, Fraction]:
         """Marginal one-step jump distribution at a site (initial layer law)."""
@@ -96,7 +115,9 @@ def build_site_chain(
     """Materialize the exact per-site law of the walk over [-W, W].
 
     Full-branch maps reduce to a site-only chain; other Markov maps
-    require joint=True (UnsupportedBaseError otherwise).
+    require joint=True (UnsupportedBaseError otherwise).  A realization
+    is read with one index_window draw, any other environment with one
+    env.at pass; max_jump is over the classes present in the window.
     """
     if window < 1:
         raise WindowTooSmallError("window must be >= 1")
@@ -104,51 +125,52 @@ def build_site_chain(
         raise UnsupportedBaseError(
             "non-full-branch base needs the joint (symbol, site) chain"
         )
-    sites = range(-window, window + 1)
-    site_transitions: dict[int, tuple[Transitions, ...]] = {}
+    if isinstance(env, EnvironmentRealization):
+        support = env.model.support
+        drawn = env.index_window(-window, window)
+    else:
+        index_of: dict[TransitionFunction, int] = {}
+        drawn = np.array(
+            [index_of.setdefault(env.at(i), len(index_of)) for i in range(-window, window + 1)],
+            dtype=np.int64,
+        )
+        support = tuple(index_of)
 
     if joint:
-        symbol_rows: list[Transitions] = []
-        for j in range(m.num_cells):
-            row = tuple(
-                (k, 0, m.measures[k] / m.image_measures[j]) for k in m.image_sets[j]
-            )
-            symbol_rows.append(row)
-        for i in sites:
-            jumps = env.at(i).jumps
-            site_transitions[i] = tuple(
-                tuple((k, jumps[j], p) for k, _, p in symbol_rows[j])
+        symbol_rows = [
+            tuple((k, m.measures[k] / m.image_measures[j]) for k in m.image_sets[j])
+            for j in range(m.num_cells)
+        ]
+        per_fn = [
+            tuple(
+                tuple((k, f.jumps[j], p) for k, p in symbol_rows[j])
                 for j in range(m.num_cells)
             )
+            for f in support
+        ]
         init = m.measures
         layers = m.num_cells
         kind = JOINT
     else:
-        # one shared Transitions tuple per distinct support function
-        if isinstance(env, EnvironmentRealization):
-            idx = env.index_window(-window, window)
-            per_fn = [site_dist_of(m, f) for f in env.model.support]
-            for pos, i in enumerate(sites):
-                site_transitions[i] = (per_fn[int(idx[pos])],)
-        else:
-            cache: dict[tuple[int, ...], Transitions] = {}
-            for i in sites:
-                f = env.at(i)
-                t = cache.get(f.jumps)
-                if t is None:
-                    t = cache[f.jumps] = site_dist_of(m, f)
-                site_transitions[i] = (t,)
+        per_fn = [(site_dist_of(m, f),) for f in support]
         init = (Fraction(1),)
         layers = 1
         kind = SITE
 
+    # support functions with equal transitions share one class
+    class_of: dict[tuple[Transitions, ...], int] = {}
+    fn_class = np.array(
+        [class_of.setdefault(row, len(class_of)) for row in per_fn], dtype=np.int64
+    )
+    rows = tuple(class_of)
+    classes = fn_class[drawn]
     max_jump = max(
         abs(v)
-        for layers_at in site_transitions.values()
-        for layer in layers_at
+        for c in np.unique(classes).tolist()
+        for layer in rows[c]
         for _, v, _ in layer
     )
-    return SiteChainDP(kind, window, layers, init, site_transitions, max_jump)
+    return SiteChainDP(kind, window, layers, init, classes, rows, max_jump)
 
 
 def path_probability(chain: SiteChainDP, site_path: Sequence[int]) -> Fraction:
@@ -231,38 +253,38 @@ def _common_weights(
 ) -> tuple[int, dict[int, tuple[tuple[tuple[int, int, int], ...], ...]]]:
     """The chain's transitions over sites lo..hi with every probability
     as an integer over one common denominator: (den, {site: per-layer
-    rows of (next_layer, jump, numerator)}).  Each distinct Transitions
-    tuple is converted once."""
-    at = {i: chain.transitions_at(i) for i in range(lo, hi + 1)}
-    distinct = {id(trans): trans for layers in at.values() for trans in layers}
-    den = lcm(*(p.denominator for trans in distinct.values() for _, _, p in trans))
+    rows of (next_layer, jump, numerator)}).  Each class present is
+    converted once."""
+    classes = chain.classes_of(lo, hi).tolist()
+    present = {c: chain.rows[c] for c in classes}
+    den = lcm(*(p.denominator for row in present.values() for layer in row for _, _, p in layer))
     ints = {
-        key: tuple((k, v, p.numerator * (den // p.denominator)) for k, v, p in trans)
-        for key, trans in distinct.items()
+        c: tuple(
+            tuple((k, v, p.numerator * (den // p.denominator)) for k, v, p in layer)
+            for layer in row
+        )
+        for c, row in present.items()
     }
-    return den, {
-        i: tuple(ints[id(trans)] for trans in layers) for i, layers in at.items()
-    }
+    return den, {i: ints[c] for i, c in enumerate(classes, lo)}
 
 
 def _float_jump_arrays(
     chain: SiteChainDP, lo: int, hi: int
 ) -> tuple[list[int], np.ndarray]:
     """Sorted jump values and their (jumps x sites) float probabilities
-    over sites lo..hi (site kind only); each distinct per-site
-    Transitions tuple is converted once, then gathered per site."""
+    over sites lo..hi (site kind only): one float column per class
+    present, gathered by the window's class array."""
     if chain.kind != SITE:
         raise UnsupportedBaseError("float DP fast path needs the site-kind chain")
-    rows = [chain.transitions_at(i)[0] for i in range(lo, hi + 1)]
-    distinct = list({id(row): row for row in rows}.values())
-    class_of = {id(row): c for c, row in enumerate(distinct)}
-    jumps = sorted({v for row in distinct for _, v, _ in row})
+    classes = chain.classes_of(lo, hi)
+    present = np.unique(classes).tolist()
+    jumps = sorted({v for c in present for _, v, _ in chain.rows[c][0]})
     position = {v: r for r, v in enumerate(jumps)}
-    table = np.zeros((len(jumps), len(distinct)))
-    for c, row in enumerate(distinct):
-        for _, v, p in row:
+    table = np.zeros((len(jumps), len(chain.rows)))
+    for c in present:
+        for _, v, p in chain.rows[c][0]:
             table[position[v], c] = float(p)
-    return jumps, table[:, [class_of[id(row)] for row in rows]]
+    return jumps, table[:, classes]
 
 
 # steps between trims of the all-zero rows at the edges of the cone

@@ -50,10 +50,11 @@ def absorb_array(
 
     Either argument may be a scalar or a uint64/int64 array, as long as
     one is an array; negative integers are absorbed via their
-    two's-complement 64-bit image.  A scalar ``k`` is folded into the
-    round's constant, and with ``out`` (a uint64 array of the result's
-    shape) the round runs in place there, so per step of a walk it is
-    one add, three shift-xors and two multiplies.
+    two's-complement 64-bit image.  The round's constant is added to
+    ``k`` first, so a scalar ``k`` or a short column of step counters
+    broadcast over ``h`` costs one pass of adds; with ``out`` (a uint64
+    array of the result's shape) the round runs in place there, so per
+    element it is one add, three shift-xors and two multiplies.
     """
     def to_u64(x):
         if isinstance(x, np.ndarray):
@@ -61,8 +62,7 @@ def absorb_array(
         return np.uint64(x & _MASK)
 
     if isinstance(k, np.ndarray):
-        z = np.add(to_u64(h), to_u64(k), out=out)
-        np.add(z, np.uint64(_GOLDEN), out=z)
+        z = np.add(to_u64(h), to_u64(k) + np.uint64(_GOLDEN), out=out)
     else:
         z = np.add(to_u64(h), to_u64(_GOLDEN + k), out=out)
     tmp = np.empty_like(z)
@@ -104,19 +104,19 @@ def pick(thresholds: np.ndarray, u: int) -> int:
 
 
 def pick_array(
-    thresholds: np.ndarray, u: np.ndarray, out: np.ndarray | None = None, base=0
+    thresholds: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Vectorized categorical draw from interior edges.
 
     Counts the edges ``<= u`` one edge at a time, which equals
     ``np.searchsorted(thresholds, u, side="right")`` and for the few
     edges of a categorical law is several times faster.  The count is
-    added to ``base`` (a scalar or an array of u's shape) and written
-    to ``out`` (int64) when given.
+    written to ``out`` (an integer array of u's shape, int64 by default)
+    when given.
     """
     if out is None:
         out = np.empty(np.shape(u), dtype=np.int64)
-    out[...] = base
+    out[...] = 0
     hit = np.empty(out.shape, dtype=bool)
     for edge in thresholds:
         np.greater_equal(u, edge, out=hit)

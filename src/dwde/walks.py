@@ -10,7 +10,11 @@ point: under Lebesgue measure the symbol stream is an explicit i.i.d.
 reproduces the walk's law exactly while costing O(1) per step.  Symbol draws come from
 the counter-based PRF keyed on (seed, env index, walk index, step), so
 ensembles are reproducible and order-independent; batches are evaluated
-as numpy vectors across all (environment, walk) pairs at once.
+as numpy vectors across all (environment, walk) pairs at once.  A batch
+draws its symbols one block of steps at a time, since a walk's symbols
+never depend on its site, and then steps every walk by one gather per
+step (_BatchEngine).  Exact and scalar symbolic walks look up each
+visited site's jumps once per call.
 """
 
 from __future__ import annotations
@@ -154,8 +158,13 @@ def simulate(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    # env.at is a pure function of the site: look each one up once
+    jumps_at: dict[int, tuple[int, ...]] = {}
     for t, j in zip(range(1, n_steps + 1), symbols):
-        site += env.at(site).jumps[j]
+        jumps = jumps_at.get(site)
+        if jumps is None:
+            jumps = jumps_at[site] = env.at(site).jumps
+        site += jumps[j]
         if site < min_site:
             min_site = site
         elif site > max_site:
@@ -190,14 +199,23 @@ class BatchResult:
     first_return_times: np.ndarray  # -1 where the walk never returned
 
 
+# PRF elements drawn per symbol block: a block's (steps x walks) arrays
+# stay cache-resident, and at few walks a block spans many steps
+BLOCK_ELEMENTS = 1 << 15
+
+
 class _BatchEngine:
     """Vectorized symbolic walks over flattened (env, walk) pairs.
 
     Each walk is tracked by its position in one flat (env, site, symbol)
-    table whose entries are the position change of that step, i.e. the
-    site's jump for the symbol times the cell count.  A step is then one
-    PRF round, one compare per interior edge, one gather and one add.
-    Sites are ``(pos - origin) // num_cells``, and for a fixed walk the
+    table: the position of site i of environment e is
+    ``origin + i * num_cells``, and entry ``position + symbol`` holds the
+    position after that step.  A walk's symbols never depend on its
+    site, so they are drawn one block of steps at a time: one PRF round
+    and one pick over a (steps x walks) array, with
+    max(1, BLOCK_ELEMENTS // walks) steps per block and no block past
+    the horizon.  A step is then one index add and one gather.  Sites
+    are ``(pos - origin) // num_cells``, and for a fixed walk the
     position is increasing in the site.
     """
 
@@ -220,11 +238,11 @@ class _BatchEngine:
         n_envs = len(envs)
         width = window_hi - window_lo + 1
         deltas = k * np.array([f.jumps for f in envs[0].model.support], dtype=np.int64)
-        # narrowest signed dtype holding +-max|delta| (int8 for every preset)
-        deltas = deltas.astype(np.min_scalar_type(-1 - int(np.abs(deltas).max())))
-        table = np.empty((n_envs, width, k), dtype=deltas.dtype)
+        table = np.empty((n_envs, width, k), dtype=np.int64)
         for e, env in enumerate(envs):
             table[e] = deltas[env.index_window(window_lo, window_hi)]
+        # add each entry's own site position: the table holds next positions
+        table += k * np.arange(n_envs * width, dtype=np.int64).reshape(n_envs, width, 1)
         self.table = table.ravel()
 
         env_ids = np.repeat(np.arange(n_envs, dtype=np.int64), n_walks)
@@ -234,17 +252,35 @@ class _BatchEngine:
         self.origin = (env_ids * width - window_lo) * k
         self.pos = self.origin + start_sites.astype(np.int64) * k
         self.thresholds = prf.choice_thresholds(m.measures)
-        self._u = np.empty(len(self.pos), dtype=np.uint64)
-        self._idx = np.empty(len(self.pos), dtype=np.int64)
-        self._delta = np.empty(len(self.pos), dtype=self.table.dtype)
+        self.block = max(1, BLOCK_ELEMENTS // len(self.pos))
 
-    def advance(self, t: int) -> None:
-        u = prf.absorb_array(self.streams, t, out=self._u)
-        idx = prf.pick_array(self.thresholds, u, out=self._idx, base=self.pos)
-        # the window covers every walk's reach, so no index is clipped;
-        # "clip" only lets take write to out without a buffered copy
-        np.take(self.table, idx, out=self._delta, mode="clip")
-        self.pos += self._delta
+    def blocks(self, n_steps: int):
+        """Advance every walk n_steps steps, one symbol block at a time.
+
+        Yields (t, path) per block: path[r] holds every walk's position
+        after step t + r.  The array is overwritten by the next block.
+        """
+        steps = min(self.block, n_steps)
+        shape = (steps, len(self.pos))
+        u = np.empty(shape, dtype=np.uint64)
+        # the narrowest dtype holding a symbol: less memory per step
+        symbols = np.empty(shape, dtype=np.min_scalar_type(self.k - 1))
+        path = np.empty(shape, dtype=np.int64)
+        idx = np.empty(len(self.pos), dtype=np.int64)
+        for t in range(1, n_steps + 1, steps):
+            n = min(steps, n_steps + 1 - t)
+            counters = np.arange(t, t + n, dtype=np.int64)[:, None]
+            prf.absorb_array(self.streams, counters, out=u[:n])
+            prf.pick_array(self.thresholds, u[:n], out=symbols[:n])
+            prev = self.pos
+            for r in range(n):
+                np.add(prev, symbols[r], out=idx)
+                # the window covers every walk's reach, so no index is
+                # clipped; "clip" lets take write to path unbuffered
+                np.take(self.table, idx, out=path[r], mode="clip")
+                prev = path[r]
+            self.pos = prev
+            yield t, path[:n]
 
     def sites(self, pos: np.ndarray | None = None) -> np.ndarray:
         """Sites of the given positions (default: the current ones)."""
@@ -295,16 +331,16 @@ def simulate_batch(
     # start positions of the walks that have not returned yet; -1 (never
     # a table position) once they have
     pending = eng.pos.copy()
-    returned = np.empty(total, dtype=bool)
     first_return = np.full(total, -1, dtype=np.int64)
-    for t in range(1, n_steps + 1):
-        eng.advance(t)
-        np.minimum(min_pos, eng.pos, out=min_pos)
-        np.maximum(max_pos, eng.pos, out=max_pos)
-        np.equal(eng.pos, pending, out=returned)
-        if returned.any():
-            first_return[returned] = t
-            pending[returned] = -1
+    returned = np.empty(total, dtype=bool)
+    for t, path in eng.blocks(n_steps):
+        for s, pos in enumerate(path, t):
+            np.minimum(min_pos, pos, out=min_pos)
+            np.maximum(max_pos, pos, out=max_pos)
+            np.equal(pos, pending, out=returned)
+            if returned.any():
+                first_return[returned] = s
+                pending[returned] = -1
     final_sites = eng.sites()
     min_sites = eng.sites(min_pos)
     max_sites = eng.sites(max_pos)
@@ -403,19 +439,17 @@ def taboo_hit(
     eng = _BatchEngine(m, [env], n, walk_seed, starts, lo, hi)
 
     outcome = np.zeros(n, dtype=np.int8)  # 0 undecided, 1 success, 2 failed
-    for t in range(1, query.horizon + 1):
-        eng.advance(t)
-        blocks = np.floor_divide(eng.sites(), bound)
-        undecided = outcome == 0
+    for _, path in eng.blocks(query.horizon):
+        blocks = np.floor_divide(eng.sites(path), bound)
         in_target = blocks == query.target_block
         if query.taboo_block is None:
-            newly = undecided & in_target
-            outcome[newly] = 1
+            entered = in_target
         else:
-            in_taboo = blocks == query.taboo_block
-            decide = undecided & (in_target | in_taboo)
-            outcome[decide & in_target] = 1
-            outcome[decide & ~in_target] = 2
+            entered = in_target | (blocks == query.taboo_block)
+        decide = np.flatnonzero(entered.any(axis=0) & (outcome == 0))
+        if len(decide):
+            first = entered[:, decide].argmax(axis=0)
+            outcome[decide] = np.where(in_target[first, decide], 1, 2)
         if not (outcome == 0).any():
             break
     successes = int((outcome == 1).sum())

@@ -1,0 +1,45 @@
+"""Replay requests recorded in perfbench/reference.json.
+
+The benchmark checks every request it runs against these recorded
+outputs (Monte Carlo digests bit-equal, DP fields within 1e-9).  Running
+a few of them here makes a bit-identity break show in the test suite,
+not only in a benchmark run.  The reference file is only read.
+"""
+
+import os
+import sys
+
+import pytest
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+if BENCH_DIR not in sys.path:
+    sys.path.insert(0, BENCH_DIR)
+
+from dwdebench.runner import LoopResult, load_reference, reference_key, run_request  # noqa: E402
+from dwdebench.workloads import Workload  # noqa: E402
+
+# (workload, seed, request indices): the first three requests of both
+# scan workloads, and one round of the fourteen oracle families
+REPLAYS = [
+    ("mc-scan", 0, range(3)),
+    ("mc-scan", 1, range(3)),
+    ("dp-certify", 0, range(3)),
+    ("dp-certify", 1, range(3)),
+    ("oracle-mix", 0, range(14)),
+]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return load_reference(os.path.join(BENCH_DIR, "reference.json"))
+
+
+@pytest.mark.parametrize("name, seed, requests", REPLAYS)
+def test_requests_match_reference(reference, name, seed, requests):
+    workload = Workload(name, seed)
+    loop = LoopResult()
+    for k in requests:
+        assert reference_key(name, seed, k) in reference
+        run_request(workload, k, reference, loop, timed=False)
+    assert loop.attempted == len(requests)
+    assert loop.failed == 0, loop.failures

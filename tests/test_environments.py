@@ -72,10 +72,9 @@ class TestPrf:
         u = np.array(sorted(probes), dtype=np.uint64)
         want = np.searchsorted(t, u, side="right")
         assert np.array_equal(prf.pick_array(t, u), want)
-        base = np.arange(len(u), dtype=np.int64) * 10
-        out = np.empty(len(u), dtype=np.int64)
-        got = prf.pick_array(t, u, out=out, base=base)
-        assert got is out and np.array_equal(out, base + want)
+        out = np.empty(len(u), dtype=np.uint8)
+        got = prf.pick_array(t, u, out=out)
+        assert got is out and np.array_equal(out, want)
         assert [prf.pick(t, int(x)) for x in u] == want.tolist()
 
     def test_absorb_array_out_matches_scalar_chain(self):
@@ -87,6 +86,11 @@ class TestPrf:
             assert np.array_equal(out, prf.absorb_array(h, k))
             for i in (0, 49, 99):
                 assert int(out[i]) == prf.hash_u64(3, prf.DOMAIN_WALK, i - 50, k)
+        # a column of step counters broadcast over h: one round per row
+        counters = np.array([0, 7, -1], dtype=np.int64)[:, None]
+        rows = prf.absorb_array(h, counters, out=np.empty((3, len(h)), dtype=np.uint64))
+        for row, k in zip(rows, (0, 7, -1)):
+            assert np.array_equal(row, prf.absorb_array(h, k))
 
 
 class TestModels:

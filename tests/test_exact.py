@@ -15,6 +15,7 @@ from dwde.environments import (
     periodic_model,
     realize,
     reflect,
+    shift,
     two_sided_model,
 )
 from dwde.errors import (
@@ -237,6 +238,82 @@ class TestBuildSiteChain:
         chain = build_site_chain(doubling_map(), env, 3)
         with pytest.raises(WindowTooSmallError):
             chain.jump_dist(4)
+
+
+def per_site_reference(m, env, window: int, joint: bool) -> dict:
+    """Each window site's transitions, built site by site from env.at."""
+    ref = {}
+    for i in range(-window, window + 1):
+        jumps = env.at(i).jumps
+        if joint:
+            ref[i] = tuple(
+                tuple((k, jumps[j], m.measures[k] / m.image_measures[j]) for k in m.image_sets[j])
+                for j in range(m.num_cells)
+            )
+        else:
+            dist = {}
+            for j, v in enumerate(jumps):
+                dist[v] = dist.get(v, F(0)) + m.measures[j]
+            ref[i] = (tuple((0, v, p) for v, p in sorted(dist.items())),)
+    return ref
+
+
+# fn(1, -1, 1) and fn(-1, 1, 1) share one site law over the triple map
+# but not one joint row; fn(1, 1, -2) brings the largest jump
+CLASS_MODELS = {
+    "iid": iid_model(
+        [fn(1, -1, 1), fn(-1, 1, 1), fn(-1, 2, -1), fn(1, 1, -2)],
+        ["1/2", "1/4", "1/8", "1/8"],
+    ),
+    "markov": markov_model(
+        [fn(1, -1, 1), fn(-2, 1, -1)], [["3/4", "1/4"], ["1/2", "1/2"]]
+    ),
+}
+ENV_VIEWS = {
+    "realization": lambda env: env,
+    "shift": lambda env: shift(env, 17),
+    "reflected": reflect,
+}
+
+
+class TestCompactChain:
+    """The class-indexed chain against a per-site reference from env.at."""
+
+    @pytest.mark.parametrize("model", sorted(CLASS_MODELS))
+    @pytest.mark.parametrize("view", sorted(ENV_VIEWS))
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_matches_per_site_reference(self, model, view, joint):
+        m = NON_FULL_MAP if joint else triple_map()
+        env = ENV_VIEWS[view](realize(CLASS_MODELS[model], 5))
+        window = 40
+        chain = build_site_chain(m, env, window, joint=joint)
+        ref = per_site_reference(m, env, window, joint)
+        assert chain.site_transitions == ref
+        for i, rows in ref.items():
+            assert chain.transitions_at(i) == rows
+            dist = {}
+            for j, layer in enumerate(rows):
+                for _, v, p in layer:
+                    dist[v] = dist.get(v, F(0)) + chain.init[j] * p
+            assert chain.jump_dist(i) == dist
+        assert chain.max_jump == max(abs(v) for rows in ref.values() for layer in rows for _, v, _ in layer)
+        assert len(chain.rows) < len(ref)
+        for site in (-window - 1, window + 1):
+            with pytest.raises(WindowTooSmallError):
+                chain.transitions_at(site)
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_window_missing_the_largest_jump(self, joint):
+        m = NON_FULL_MAP if joint else triple_map()
+        # +/-2 jumps only at negative sites, so the window of a view
+        # shifted 100 sites right never holds one
+        env = realize(two_sided_model(fn(2, -2, 1), fn(1, -1, 1)), 0)
+        rare = realize(iid_model([fn(1, -1, 1), fn(2, -2, 1)], ["999/1000", "1/1000"]), 1)
+        assert build_site_chain(m, env, 20, joint=joint).max_jump == 2
+        for view in (shift(env, 100), reflect(shift(env, 100)), rare):
+            assert view.model.jump_bound == 2
+            assert max(abs(v) for i in range(-20, 21) for v in view.at(i).jumps) == 1
+            assert build_site_chain(m, view, 20, joint=joint).max_jump == 1
 
 
 class TestPathProbabilityVsEnumeration:

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from dwde import prf
+from dwde import walks as walks_module
 from dwde.environments import fixed_model, fn, iid_model, realize, shift
 from dwde.errors import BudgetExceededError, HorizonZeroError, OutOfDomainError
 from dwde.exact import build_site_chain, return_prob_curve
@@ -311,7 +312,21 @@ class TestBatchBitIdentity:
             site += env.at(site).jumps[prf.pick(thresholds, u)]
             yield t, site
 
-    def test_simulate_batch_matches_per_walk_loop(self):
+    @pytest.fixture
+    def block_of(self, monkeypatch):
+        """Set the PRF elements per symbol block; returns the block length
+        the engine then uses for the given number of walks."""
+
+        def block_of(elements, walks):
+            if elements is not None:
+                monkeypatch.setattr(walks_module, "BLOCK_ELEMENTS", elements)
+            env = realize(self.model, 0)
+            starts = np.zeros(walks, dtype=np.int64)
+            return walks_module._BatchEngine(self.m, [env], walks, 0, starts, -2, 2).block
+
+        return block_of
+
+    def check_simulate_batch(self):
         envs = [realize(self.model, s) for s in (11, 12)]
         n_walks, n_steps, seed, start = 40, 60, 2024, 3
         res = simulate_batch(self.m, envs, n_walks, n_steps, seed, start_site=start)
@@ -328,24 +343,59 @@ class TestBatchBitIdentity:
                     r.final_sites[w], r.min_sites[w], r.max_sites[w], r.first_return_times[w]
                 ) == (site, lo, hi, first)
 
-    @pytest.mark.parametrize("taboo", [-2, None])
-    def test_taboo_hit_matches_per_walk_loop(self, taboo):
+    def check_taboo(self, target, taboo, horizon):
+        """taboo_hit against the per-walk loop; returns the step that
+        decides each walk the loop decides."""
         env = realize(self.model, 12)
-        q = TabooQuery(start_block=0, target_block=2, taboo_block=taboo, horizon=40)
+        q = TabooQuery(start_block=0, target_block=target, taboo_block=taboo, horizon=horizon)
         n_walks, seed = 300, 77
         successes = 0
+        decided = []
         for w in range(n_walks):
             start = prf.hash_u64(seed, prf.DOMAIN_START, w) % 2
-            for _, site in self.walk(env, seed, 0, w, start, q.horizon):
+            for t, site in self.walk(env, seed, 0, w, start, q.horizon):
                 block = site // 2
                 if block == q.target_block:
                     successes += 1
-                    break
-                if block == q.taboo_block:
+                if block in (q.target_block, q.taboo_block):
+                    decided.append(t)
                     break
         res = taboo_hit(self.m, env, q, n_walks, walk_seed=seed)
         assert 0 < successes < n_walks
         assert res.successes == successes
+        return decided
+
+    def test_simulate_batch_matches_per_walk_loop(self, block_of):
+        # the module's block for 80 walks is longer than the horizon
+        assert block_of(None, 80) == 409
+        self.check_simulate_batch()
+
+    @pytest.mark.parametrize(
+        "elements, block",
+        [
+            (80 * 7, 7),  # 60 steps are 8 blocks of 7 and one of 4
+            (79, 1),  # more walks than elements: one step per block
+        ],
+    )
+    def test_simulate_batch_across_blocks(self, block_of, elements, block):
+        assert block_of(elements, 80) == block
+        self.check_simulate_batch()
+
+    @pytest.mark.parametrize("taboo", [-2, None])
+    def test_taboo_hit_matches_per_walk_loop(self, taboo):
+        self.check_taboo(2, taboo, 40)
+
+    def test_taboo_hit_one_step_per_block(self, block_of):
+        assert block_of(299, 300) == 1
+        self.check_taboo(2, -2, 40)
+
+    @pytest.mark.parametrize("elements, block", [(None, 109), (300 * 4, 4)])
+    def test_taboo_hit_decided_inside_a_block(self, block_of, elements, block):
+        assert block_of(elements, 300) == block
+        decided = self.check_taboo(1, -1, 200)
+        # every walk is decided, at the latest at step 10: inside the
+        # first block of 109 steps, and inside the third block of 4
+        assert len(decided) == 300 and max(decided) == 10
 
 
 class TestTaboo:
