@@ -5,7 +5,12 @@ every lattice site, as a pure function of (model, env_seed, site).  The
 i.i.d. kind draws each site through the counter-based PRF, so negative
 and positive sites are equally O(1); the Markov kind runs the chain
 forward from a stationary draw at site 0 and the time-reversed chain
-backward, which is the canonical stationary two-sided extension.
+backward, which is the canonical stationary two-sided extension.  Each
+Markov site still draws the PRF keyed on the site, but the chain is
+drawn in blocks (prf.markov_path): one PRF round over a block of sites,
+one pick per state, and a select pass.  Each side grows geometrically,
+every extension drawing at least as many sites as that side holds, so a
+walk stepping one site at a time pays a logarithmic number of blocks.
 `at()` memoizes the sites it draws, and memo writes are idempotent
 (same value for the same site); an i.i.d. `index_window` draws its
 whole window straight from the PRF without the memo.  Either way a
@@ -200,21 +205,74 @@ def _reversed_rows(
     )
 
 
+class _MarkovSites:
+    """The drawn sites of one Markov realization, shared by its shift views.
+
+    ``right[i]`` is site i's support index and ``left[i]`` site -i's;
+    both sides start at site 0's stationary draw, the right side steps
+    by the transition rows and the left by the time-reversed rows, and
+    site i draws hash_u64(env_seed, DOMAIN_ENV, i).
+    """
+
+    def __init__(self, model: EnvironmentModel, env_seed: int):
+        self.key = prf.hash_u64(env_seed, prf.DOMAIN_ENV)
+        origin = prf.pick(
+            prf.choice_thresholds(model.stationary), prf.hash_u64(env_seed, prf.DOMAIN_ENV, 0)
+        )
+        self.right = [origin]
+        self.left = [origin]
+        self.forward = [prf.choice_thresholds(row) for row in model.transition]
+        rev = _reversed_rows(model.transition, model.stationary)
+        self.backward = [prf.choice_thresholds(row) for row in rev]
+
+    def index(self, i: int) -> int:
+        if i >= 0:
+            if i >= len(self.right):
+                self._extend(self.right, self.forward, i, 1)
+            return self.right[i]
+        if -i >= len(self.left):
+            self._extend(self.left, self.backward, -i, -1)
+        return self.left[-i]
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Support indices of sites lo..hi inclusive."""
+        self.index(lo)
+        self.index(hi)
+        # sites lo..-1 are left[-lo..1] and sites 0..hi right[0..hi]
+        left = self.left[max(1, -hi):max(1, 1 - lo)]
+        right = self.right[max(0, lo):max(0, hi + 1)]
+        return np.array(left[::-1] + right, dtype=np.int64)
+
+    def _extend(self, side: list[int], rows: list[np.ndarray], j: int, sign: int) -> None:
+        """Draw one block on ``side`` so that it reaches |site| j."""
+        held = len(side)
+        n = max(j + 1 - held, held)
+        sites = sign * np.arange(held, held + n, dtype=np.int64)
+        side += prf.markov_path(prf.absorb_array(self.key, sites), rows, side[-1])
+
+
 @dataclass
 class EnvironmentRealization:
     """Lazily-indexed assignment site -> support index.
 
     `at(i)` is a pure function of (model, env_seed, i + offset); `shift`
     returns a view sharing the same memo so the shift identity
-    at(shift(env, k), i) == at(env, i + k) holds by construction.
+    at(shift(env, k), i) == at(env, i + k) holds by construction.  The
+    memo is a site -> index dict for the i.i.d. kind and the block-drawn
+    chain (_MarkovSites) for the Markov kind.
     """
 
     model: EnvironmentModel
     env_seed: int
     offset: int = 0
-    _memo: dict[int, int] = field(default_factory=dict, repr=False)
-    _chain_lo: int = field(default=0, repr=False)
-    _chain_hi: int = field(default=0, repr=False)
+    _memo: dict[int, int] | _MarkovSites | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._memo is None:
+            if self.model.kind == MARKOV:
+                self._memo = _MarkovSites(self.model, self.env_seed)
+            else:
+                self._memo = {}
 
     def at(self, i: int) -> TransitionFunction:
         return self.model.support[self.index_at(i)]
@@ -223,11 +281,7 @@ class EnvironmentRealization:
         return self._base_index(i + self.offset)
 
     def shift(self, k: int) -> "EnvironmentRealization":
-        env = EnvironmentRealization(self.model, self.env_seed, self.offset + k)
-        env._memo = self._memo
-        env._chain_lo = self._chain_lo
-        env._chain_hi = self._chain_hi
-        return env
+        return EnvironmentRealization(self.model, self.env_seed, self.offset + k, self._memo)
 
     def _base_index(self, i: int) -> int:
         model = self.model
@@ -248,33 +302,19 @@ class EnvironmentRealization:
                 got = prf.pick(self._thresholds(), u)
                 self._memo[i] = got
             return got
-        # MARKOV: extend the memoized chain out to i
-        if not self._memo:
-            u = prf.hash_u64(self.env_seed, prf.DOMAIN_ENV, 0)
-            self._memo[0] = prf.pick(self._stationary_thresholds(), u)
-            self._chain_lo = self._chain_hi = 0
-        while self._chain_hi < i:
-            j = self._chain_hi
-            u = prf.hash_u64(self.env_seed, prf.DOMAIN_ENV, j + 1)
-            self._memo[j + 1] = prf.pick(self._row_thresholds()[self._memo[j]], u)
-            self._chain_hi = j + 1
-        while self._chain_lo > i:
-            j = self._chain_lo
-            u = prf.hash_u64(self.env_seed, prf.DOMAIN_ENV, j - 1)
-            self._memo[j - 1] = prf.pick(
-                self._reversed_thresholds()[self._memo[j]], u
-            )
-            self._chain_lo = j - 1
-        return self._memo[i]
+        return self._memo.index(i)
 
     def index_window(self, lo: int, hi: int) -> np.ndarray:
-        """Support indices for sites lo..hi inclusive (vectorized for iid)."""
+        """Support indices for sites lo..hi inclusive (vectorized for iid
+        and Markov)."""
         base_lo, base_hi = lo + self.offset, hi + self.offset
         model = self.model
         if model.kind == IID:
             sites = np.arange(base_lo, base_hi + 1, dtype=np.int64)
             u = prf.hash_u64_array(self.env_seed, prf.DOMAIN_ENV, array=sites)
             return prf.pick_array(self._thresholds(), u)
+        if model.kind == MARKOV:
+            return self._memo.window(base_lo, base_hi)
         return np.array(
             [self._base_index(i) for i in range(base_lo, base_hi + 1)], dtype=np.int64
         )
@@ -284,28 +324,6 @@ class EnvironmentRealization:
         if t is None:
             t = prf.choice_thresholds(self.model.weights)
             object.__setattr__(self, "_thr", t)
-        return t
-
-    def _stationary_thresholds(self) -> np.ndarray:
-        t = getattr(self, "_stat_thr", None)
-        if t is None:
-            t = prf.choice_thresholds(self.model.stationary)
-            object.__setattr__(self, "_stat_thr", t)
-        return t
-
-    def _row_thresholds(self) -> list[np.ndarray]:
-        t = getattr(self, "_row_thr", None)
-        if t is None:
-            t = [prf.choice_thresholds(row) for row in self.model.transition]
-            object.__setattr__(self, "_row_thr", t)
-        return t
-
-    def _reversed_thresholds(self) -> list[np.ndarray]:
-        t = getattr(self, "_rev_thr", None)
-        if t is None:
-            rev = _reversed_rows(self.model.transition, self.model.stationary)
-            t = [prf.choice_thresholds(row) for row in rev]
-            object.__setattr__(self, "_rev_thr", t)
         return t
 
 

@@ -623,15 +623,14 @@ def return_cylinder_count(
     combinatorial_bound = r**n * (k_cells - r) ** n * comb(2 * n, n)
     if n == 0:
         return {"enumerated": 1, "combinatorial_bound": 1}
-    first_jump = 1 if cell < r else -1
-    ways: dict[int, int] = {first_jump: 1}
+    up, down = r, k_cells - r
+    # ways[i] counts the paths at site -t + 2i after t steps, the first
+    # pinned to +1 or -1 by the cell; a step reaches new entry i by +1
+    # from entry i - 1 and by -1 from entry i
+    ways = [0, 1] if cell < r else [1, 0]
     for _ in range(2 * n - 1):
-        new: dict[int, int] = {}
-        for site, c in ways.items():
-            new[site + 1] = new.get(site + 1, 0) + c * r
-            new[site - 1] = new.get(site - 1, 0) + c * (k_cells - r)
-        ways = new
-    enumerated = ways.get(0, 0)  # final symbol pinned to `cell`: one choice
+        ways = [x * up + y * down for x, y in zip([0] + ways, ways + [0])]
+    enumerated = ways[n]  # final symbol pinned to `cell`: one choice
     return {"enumerated": enumerated, "combinatorial_bound": combinatorial_bound}
 
 

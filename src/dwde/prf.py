@@ -5,12 +5,17 @@ start-site draws) is a pure function of a 64-bit seed plus an integer
 index tuple, evaluated through a splitmix64-style mixing chain.  That
 gives O(1) random access at any lattice site or (walk, step) pair and
 bit-identical results regardless of evaluation order, chunking, or
-thread scheduling.
+thread scheduling.  A Markov chain is drawn a block of steps at a
+time: one PRF round over the block's counters and one pick per state
+give every state's candidate next state, and a select pass then
+follows the chain through them (markov_path, markov_paths).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -56,15 +61,21 @@ def absorb_array(
     array of the result's shape) the round runs in place there, so per
     element it is one add, three shift-xors and two multiplies.
     """
-    def to_u64(x):
-        if isinstance(x, np.ndarray):
-            return x if x.dtype == np.uint64 else x.astype(np.int64, copy=False).view(np.uint64)
-        return np.uint64(x & _MASK)
-
     if isinstance(k, np.ndarray):
-        z = np.add(to_u64(h), to_u64(k) + np.uint64(_GOLDEN), out=out)
+        z = np.add(_to_u64(h), _to_u64(k) + np.uint64(_GOLDEN), out=out)
     else:
-        z = np.add(to_u64(h), to_u64(_GOLDEN + k), out=out)
+        z = np.add(_to_u64(h), _to_u64(_GOLDEN + k), out=out)
+    return _mix_in_place(z)
+
+
+def _to_u64(x: np.ndarray | int) -> np.ndarray | np.uint64:
+    if isinstance(x, np.ndarray):
+        return x if x.dtype == np.uint64 else x.astype(np.int64, copy=False).view(np.uint64)
+    return np.uint64(x & _MASK)
+
+
+def _mix_in_place(z: np.ndarray) -> np.ndarray:
+    """mix64 on every element of a uint64 array, in place."""
     tmp = np.empty_like(z)
     for shift, mult in ((30, _M1), (27, _M2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=tmp)
@@ -79,13 +90,24 @@ def hash_u64_array(seed: int, *indices: int, array: np.ndarray) -> np.ndarray:
     return absorb_array(hash_u64(seed, *indices), array)
 
 
+def hash_u64_seeds(seeds: np.ndarray, *indices: int) -> np.ndarray:
+    """Vectorized :func:`hash_u64` over an array of seeds: entry i is
+    ``hash_u64(seeds[i], *indices)``."""
+    h = _mix_in_place(_to_u64(seeds).copy())
+    for k in indices:
+        h = absorb_array(h, k, out=h)
+    return h
+
+
 def choice_thresholds(weights: tuple[Fraction, ...]) -> np.ndarray:
     """Interior cumulative 64-bit edges for categorical draws.
 
     Category c covers the u64 range [edge[c-1], edge[c]), with implicit
     outer edges 0 and 2^64, so probabilities match the exact rational
-    weights to within 2^-64 per interior edge.  Returns len(weights)-1
-    edges; an empty array means a single certain category.
+    weights to within 2^-64 per interior edge.  A zero weight repeats an
+    edge, so its category is never drawn; the edges after the last
+    positive weight sit at 2^64, which no draw reaches, and are left
+    out.  An empty array means a single certain category.
     """
     total = sum(weights)
     if total != 1:
@@ -94,13 +116,16 @@ def choice_thresholds(weights: tuple[Fraction, ...]) -> np.ndarray:
     edges = []
     for w in weights[:-1]:
         cum += w
+        if cum == 1:
+            break
         edges.append(int(cum * (1 << 64)))
     return np.array(edges, dtype=np.uint64)
 
 
 def pick(thresholds: np.ndarray, u: int) -> int:
-    """Scalar categorical draw from interior edges."""
-    return int(np.searchsorted(thresholds, np.uint64(u), side="right"))
+    """Scalar categorical draw from interior edges: the number of edges
+    ``<= u``, as ``np.searchsorted(thresholds, u, side="right")``."""
+    return bisect_right(thresholds.tolist(), u)
 
 
 def pick_array(
@@ -121,4 +146,52 @@ def pick_array(
     for edge in thresholds:
         np.greater_equal(u, edge, out=hit)
         out += hit
+    return out
+
+
+def markov_path(u: np.ndarray, rows: Sequence[np.ndarray], state: int) -> list[int]:
+    """One Markov chain driven by the draws ``u``, from ``state``.
+
+    ``rows[s]`` holds the interior edges of the step out of state s, so
+    draw ``u[t]`` moves the chain from s to ``pick(rows[s], u[t])``.
+    One pick_array per row gives every state's candidate for every draw,
+    and a pass over Python lists follows the chain through them.
+    Returns the state after each draw.
+    """
+    candidates = [pick_array(row, u).tolist() for row in rows]
+    path = []
+    for t in range(len(u)):
+        state = candidates[state][t]
+        path.append(state)
+    return path
+
+
+def markov_paths(
+    u: np.ndarray, rows: Sequence[np.ndarray], state: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Many Markov chains at once: :func:`markov_path` for every column.
+
+    ``u`` is a (steps x chains) array of draws and ``state`` the chains'
+    states before the first row.  Every state's candidates are picked
+    into one (states x steps x chains) table, then each step is one
+    gather from it across all chains.  Row t of ``out`` (an integer
+    array of u's shape) receives the states after draw t.
+    """
+    steps, n = u.shape
+    candidates = np.empty((len(rows),) + u.shape, dtype=out.dtype)
+    for row, cand in zip(rows, candidates):
+        pick_array(row, u, out=cand)
+    flat = candidates.ravel()
+    stride = np.int64(steps * n)
+    # flat index of chain c's candidate at step t, less the state's term
+    base = np.arange(n, dtype=np.int64)
+    idx = np.empty(n, dtype=np.int64)
+    prev = state
+    for t in range(steps):
+        np.multiply(prev, stride, out=idx)
+        idx += base
+        # every index is in range; "clip" lets take write out unbuffered
+        np.take(flat, idx, out=out[t], mode="clip")
+        prev = out[t]
+        base += n
     return out

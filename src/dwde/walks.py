@@ -10,24 +10,26 @@ point: under Lebesgue measure the symbol stream is an explicit i.i.d.
 reproduces the walk's law exactly while costing O(1) per step.  Symbol draws come from
 the counter-based PRF keyed on (seed, env index, walk index, step), so
 ensembles are reproducible and order-independent; batches are evaluated
-as numpy vectors across all (environment, walk) pairs at once.  A batch
-draws its symbols one block of steps at a time, since a walk's symbols
-never depend on its site, and then steps every walk by one gather per
-step (_BatchEngine).  Exact and scalar symbolic walks look up each
-visited site's jumps once per call.
+as numpy vectors across all (environment, walk) pairs at once.  A
+walk's symbols never depend on its site, so they are drawn one block of
+steps at a time: one PRF round per block, then one pick for i.i.d.
+symbols, or for Markov symbols one pick per cell and a select pass
+that follows each walk's chain (prf.markov_path for a scalar walk,
+prf.markov_paths across a batch).  A batch then steps every walk by one
+gather per step (_BatchEngine).  Exact and scalar symbolic walks look
+up each visited site's jumps once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
 
 import numpy as np
 
 from . import prf
 from .environments import EnvironmentModel, realize
-from .errors import BudgetExceededError, HorizonZeroError, UnsupportedBaseError
+from .errors import BudgetExceededError, HorizonZeroError
 from .interval_maps import MarkovIntervalMap
 
 DEFAULT_STEP_BUDGET = 4 * 10**9
@@ -97,33 +99,52 @@ def uniform_rational_start(
     return Fraction(r % denom, denom)
 
 
-class _SymbolSampler:
-    """Seeded symbol stream with the exact Lebesgue law of the coding."""
+# PRF elements drawn per symbol block: a block's (steps x walks) arrays
+# stay cache-resident, and at few walks a block spans many steps
+BLOCK_ELEMENTS = 1 << 15
 
-    def __init__(self, m: MarkovIntervalMap, walk_seed: int):
-        self.m = m
-        self.seed = walk_seed
-        self.marginal = prf.choice_thresholds(m.measures)
-        if m.full_branch:
-            self.rows = None
-        else:
-            self.rows = [
-                prf.choice_thresholds(
-                    tuple(m.measures[k] / m.image_measures[j] for k in m.image_sets[j])
-                )
-                for j in range(m.num_cells)
-            ]
-        self.prev: int | None = None
 
-    def draw(self, t: int) -> int:
-        u = prf.hash_u64(self.seed, prf.DOMAIN_WALK, t)
-        if self.prev is None or self.rows is None:
-            sym = prf.pick(self.marginal, u)
+def _symbol_rows(m: MarkovIntervalMap) -> list[np.ndarray] | None:
+    """Edges of the symbol chain of a Markov-branch map's coding.
+
+    Row j is the law of the symbol after j, m(a_k) / m(T a_j) on the
+    cells k of T a_j and 0 elsewhere, so a pick from it is a cell index;
+    the last row, the chain's start state, is the marginal law m(a_k).
+    None for a full-branch map, whose symbols are i.i.d.
+    """
+    if m.full_branch:
+        return None
+    rows = []
+    for j, image in enumerate(m.image_sets):
+        law = [
+            m.measures[k] / m.image_measures[j] if k in image else Fraction(0)
+            for k in range(m.num_cells)
+        ]
+        rows.append(prf.choice_thresholds(law))
+    rows.append(prf.choice_thresholds(m.measures))
+    return rows
+
+
+def _symbols(m: MarkovIntervalMap, walk_seed: int, n_steps: int):
+    """The Lebesgue-law symbols of steps 1..n_steps, a block at a time.
+
+    Step t draws hash_u64(walk_seed, DOMAIN_WALK, t); the first symbol
+    follows the marginal law and, on a Markov-branch map, each later one
+    the row of the symbol before it.
+    """
+    key = prf.hash_u64(walk_seed, prf.DOMAIN_WALK)
+    rows = _symbol_rows(m)
+    marginal = prf.choice_thresholds(m.measures)
+    state = m.num_cells  # the start row
+    for t in range(1, n_steps + 1, BLOCK_ELEMENTS):
+        counters = np.arange(t, min(t + BLOCK_ELEMENTS, n_steps + 1), dtype=np.int64)
+        u = prf.absorb_array(key, counters)
+        if rows is None:
+            yield from prf.pick_array(marginal, u).tolist()
         else:
-            row = self.m.image_sets[self.prev]
-            sym = row[prf.pick(self.rows[self.prev], u)]
-        self.prev = sym
-        return sym
+            block = prf.markov_path(u, rows, state)
+            state = block[-1]
+            yield from block
 
 
 def simulate(
@@ -150,7 +171,7 @@ def simulate(
     path = [site] if record_every else None
 
     if mode == SYMBOLIC:
-        symbols = map(_SymbolSampler(m, walk_seed).draw, count(1))
+        symbols = _symbols(m, walk_seed, n_steps)
     elif mode == EXACT:
         if start.x is None:
             raise ValueError("exact mode needs a rational start point")
@@ -199,11 +220,6 @@ class BatchResult:
     first_return_times: np.ndarray  # -1 where the walk never returned
 
 
-# PRF elements drawn per symbol block: a block's (steps x walks) arrays
-# stay cache-resident, and at few walks a block spans many steps
-BLOCK_ELEMENTS = 1 << 15
-
-
 class _BatchEngine:
     """Vectorized symbolic walks over flattened (env, walk) pairs.
 
@@ -212,11 +228,16 @@ class _BatchEngine:
     ``origin + i * num_cells``, and entry ``position + symbol`` holds the
     position after that step.  A walk's symbols never depend on its
     site, so they are drawn one block of steps at a time: one PRF round
-    and one pick over a (steps x walks) array, with
-    max(1, BLOCK_ELEMENTS // walks) steps per block and no block past
-    the horizon.  A step is then one index add and one gather.  Sites
-    are ``(pos - origin) // num_cells``, and for a fixed walk the
-    position is increasing in the site.
+    over a (steps x walks) array, with max(1, BLOCK_ELEMENTS // walks)
+    steps per block and no block past the horizon, then one pick for a
+    full-branch map or, for a Markov-branch map, the symbol chain's
+    candidates and one gather per step (prf.markov_paths).  Walk w of
+    environment e draws its i.i.d. symbols from the stream keyed on
+    walk_seed = hash_u64(master_seed, DOMAIN_WALK, e, w), and its Markov
+    symbols from hash_u64(walk_seed, DOMAIN_WALK), as a scalar walk
+    does.  A step is then one index add and one gather.  Sites are
+    ``(pos - origin) // num_cells``, and for a fixed walk the position
+    is increasing in the site.
     """
 
     def __init__(
@@ -229,11 +250,6 @@ class _BatchEngine:
         window_lo: int,
         window_hi: int,
     ):
-        if not m.full_branch:
-            raise UnsupportedBaseError(
-                "the batched engine samples i.i.d. symbols; "
-                "use scalar simulate() for Markov-branch bases"
-            )
         k = self.k = m.num_cells
         n_envs = len(envs)
         width = window_hi - window_lo + 1
@@ -252,6 +268,10 @@ class _BatchEngine:
         self.origin = (env_ids * width - window_lo) * k
         self.pos = self.origin + start_sites.astype(np.int64) * k
         self.thresholds = prf.choice_thresholds(m.measures)
+        self.rows = _symbol_rows(m)
+        if self.rows is not None:
+            self.streams = prf.hash_u64_seeds(self.streams, prf.DOMAIN_WALK)
+            self.state = np.full(len(self.pos), k, dtype=np.int64)  # the start row
         self.block = max(1, BLOCK_ELEMENTS // len(self.pos))
 
     def blocks(self, n_steps: int):
@@ -271,7 +291,11 @@ class _BatchEngine:
             n = min(steps, n_steps + 1 - t)
             counters = np.arange(t, t + n, dtype=np.int64)[:, None]
             prf.absorb_array(self.streams, counters, out=u[:n])
-            prf.pick_array(self.thresholds, u[:n], out=symbols[:n])
+            if self.rows is None:
+                prf.pick_array(self.thresholds, u[:n], out=symbols[:n])
+            else:
+                prf.markov_paths(u[:n], self.rows, self.state, out=symbols[:n])
+                self.state = symbols[n - 1]
             prev = self.pos
             for r in range(n):
                 np.add(prev, symbols[r], out=idx)
@@ -313,12 +337,6 @@ def simulate_batch(
         raise HorizonZeroError("need at least one step")
     n_envs = len(envs)
     _require_budget(n_envs * n_walks * n_steps, budget)
-    if not m.full_branch:
-        # Markov-branch bases need symbol-conditional sampling; scalar path
-        return [
-            _scalar_batch(m, env, e, n_walks, n_steps, master_seed, start_site)
-            for e, env in enumerate(envs)
-        ]
     jump_bound = envs[0].model.jump_bound
     lo = start_site - n_steps * jump_bound
     hi = start_site + n_steps * jump_bound
@@ -356,29 +374,6 @@ def simulate_batch(
             )
         )
     return out
-
-
-def _scalar_batch(
-    m: MarkovIntervalMap,
-    env,
-    env_index: int,
-    n_walks: int,
-    n_steps: int,
-    master_seed: int,
-    start_site: int,
-) -> BatchResult:
-    finals = np.empty(n_walks, dtype=np.int64)
-    mins = np.empty(n_walks, dtype=np.int64)
-    maxs = np.empty(n_walks, dtype=np.int64)
-    frts = np.empty(n_walks, dtype=np.int64)
-    for w in range(n_walks):
-        walk_seed = prf.hash_u64(master_seed, prf.DOMAIN_WALK, env_index, w)
-        traj = simulate(m, env, WalkState(None, start_site), n_steps, SYMBOLIC, walk_seed)
-        finals[w] = traj.final_site
-        mins[w] = traj.min_site
-        maxs[w] = traj.max_site
-        frts[w] = -1 if traj.first_return_time is None else traj.first_return_time
-    return BatchResult(finals, mins, maxs, frts)
 
 
 @dataclass(frozen=True)

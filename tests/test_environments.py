@@ -20,6 +20,7 @@ from dwde.environments import (
     shift,
     symmetry_and_bounds,
     two_sided_model,
+    _reversed_rows,
     _solve_stationary,
 )
 from dwde.errors import InvalidModelError
@@ -62,6 +63,8 @@ class TestPrf:
             (F(1, 3), F(1, 6), F(1, 2)),
             (F(1, 6), F(1, 3), F(1, 12), F(1, 4), F(1, 6)),
             (F(1, 2), F(0), F(1, 2)),  # a zero weight repeats an edge
+            # an edge at 0, and none for the trailing zero weights
+            (F(0), F(1, 4), F(3, 4), F(0), F(0)),
         ],
     )
     def test_pick_array_is_searchsorted_right(self, weights):
@@ -69,13 +72,16 @@ class TestPrf:
         probes = {0, 2**64 - 1}
         for edge in t.tolist():
             probes |= {edge - 1, edge, edge + 1}
-        u = np.array(sorted(probes), dtype=np.uint64)
+        u = np.array(sorted(p for p in probes if 0 <= p < 2**64), dtype=np.uint64)
         want = np.searchsorted(t, u, side="right")
         assert np.array_equal(prf.pick_array(t, u), want)
         out = np.empty(len(u), dtype=np.uint8)
         got = prf.pick_array(t, u, out=out)
         assert got is out and np.array_equal(out, want)
         assert [prf.pick(t, int(x)) for x in u] == want.tolist()
+        # a zero weight is never drawn
+        drawn = set(want.tolist())
+        assert all(w > 0 for c, w in enumerate(weights) if c in drawn)
 
     def test_absorb_array_out_matches_scalar_chain(self):
         h = prf.hash_u64_array(3, prf.DOMAIN_WALK, array=np.arange(-50, 50, dtype=np.int64))
@@ -207,6 +213,86 @@ class TestRealization:
         assert isinstance(refl, ReflectedEnvironment)
         for i in range(-20, 21):
             assert refl.at(i) == -env.at(-i)
+
+
+def markov_reference(model, seed, lo, hi):
+    """Support indices of sites lo..hi (lo <= 0 <= hi), one PRF draw and
+    one searchsorted pick per site, stepping out from site 0."""
+    def pick(edges, u):
+        return int(np.searchsorted(edges, np.uint64(u), side="right"))
+
+    def draw(edges, i):
+        return pick(edges, prf.hash_u64(seed, prf.DOMAIN_ENV, i))
+
+    forward = [prf.choice_thresholds(row) for row in model.transition]
+    backward = [
+        prf.choice_thresholds(row)
+        for row in _reversed_rows(model.transition, model.stationary)
+    ]
+    got = {0: draw(prf.choice_thresholds(model.stationary), 0)}
+    for i in range(1, hi + 1):
+        got[i] = draw(forward[got[i - 1]], i)
+    for i in range(-1, lo - 1, -1):
+        got[i] = draw(backward[got[i + 1]], i)
+    return got
+
+
+class TestMarkovBlocks:
+    """Block-drawn Markov environments against a per-site reference loop.
+
+    Three states with a zero transition and unequal rows, so a select
+    pass reading the wrong row or the wrong draw changes some site.
+    """
+
+    model = markov_model(
+        [fn(1, -1), fn(-1, 1), fn(1, 1)],
+        [["1/2", "1/3", "1/6"], ["1/4", "1/4", "1/2"], ["0", "2/3", "1/3"]],
+    )
+    seed = 4242
+    want = markov_reference(model, seed, -700, 700)
+
+    def check(self, env, sites, offset=0):
+        for i in sites:
+            assert env.index_at(i) == self.want[i + offset], i
+
+    def test_rightward(self):
+        self.check(realize(self.model, self.seed), range(501))
+
+    def test_leftward(self):
+        self.check(realize(self.model, self.seed), range(0, -501, -1))
+
+    def test_shuffled(self):
+        sites = list(range(-500, 501))
+        np.random.default_rng(3).shuffle(sites)
+        self.check(realize(self.model, self.seed), sites)
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            [(-300, 200)],  # across 0 on a fresh realization
+            [(-500, -400), (100, 500), (-450, 450)],  # one side, then across
+            [(3, 3), (-1, -1), (-500, 500)],  # single sites first
+        ],
+    )
+    def test_index_window(self, windows):
+        env = realize(self.model, self.seed)
+        for lo, hi in windows:
+            win = env.index_window(lo, hi)
+            assert win.dtype == np.int64
+            assert win.tolist() == [self.want[i] for i in range(lo, hi + 1)]
+
+    def test_shift_views_extend_the_shared_memo_in_turn(self):
+        env = realize(self.model, self.seed)
+        right, left = shift(env, 150), shift(env, -150)
+        for i in range(0, 551, 50):
+            # each view reaches past what the others have drawn
+            self.check(right, [i], 150)
+            self.check(left, [-i], -150)
+            self.check(env, [i - 10, 10 - i])
+        assert right.index_window(-700, 400).tolist() == [
+            self.want[i] for i in range(-550, 551)
+        ]
+        self.check(left, range(-550, 551), -150)
 
 
 class TestStatistics:

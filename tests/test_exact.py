@@ -46,6 +46,7 @@ from dwde.interval_maps import (
     cylinder_measure,
     doubling_map,
     enumerate_cylinders,
+    equal_slope_map,
     gibbs_bounds,
     triple_map,
 )
@@ -667,6 +668,21 @@ class TestReturnCylinderCount:
                     count += 1
             got = return_cylinder_count(m, r, n, cell=cell)
             assert got["enumerated"] == count
+
+    @pytest.mark.parametrize("k_cells", [2, 3, 4, 5])
+    def test_closed_form(self, k_cells):
+        # after the pinned first jump the other 2n - 1 steps take n - 1
+        # more of its kind and n of the other
+        m = equal_slope_map(k_cells)
+        for r in range(1, k_cells):
+            for cell in range(k_cells):
+                for n in range(1, 31):
+                    if cell < r:
+                        want = _comb(2 * n - 1, n - 1) * r ** (n - 1) * (k_cells - r) ** n
+                    else:
+                        want = _comb(2 * n - 1, n) * r**n * (k_cells - r) ** (n - 1)
+                    got = return_cylinder_count(m, r, n, cell=cell)
+                    assert got["enumerated"] == want, (r, cell, n)
 
 
 def _comb(a, b):

@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp
 
 from dwde import prf
 from dwde import walks as walks_module
-from dwde.environments import fixed_model, fn, iid_model, realize, shift
+from dwde.environments import fixed_model, fn, iid_model, markov_model, realize, shift
 from dwde.errors import BudgetExceededError, HorizonZeroError, OutOfDomainError
 from dwde.exact import build_site_chain, return_prob_curve
 from dwde.interval_maps import apply, build_map, doubling_map, symbols_of_orbit, triple_map
@@ -193,21 +193,17 @@ class TestSymbolicLaw:
         assert dev < 5 * sigma  # golden: observed comfortably below
 
     def test_first_symbol_frequencies_scalar_sampler(self):
-        from dwde.walks import _SymbolSampler
-
         m = triple_map()
         n = 20000
         counts = np.zeros(3, dtype=int)
         for seed in range(n):
-            s = _SymbolSampler(m, seed)
-            counts[s.draw(1)] += 1
+            counts[next(walks_module._symbols(m, seed, 1))] += 1
         freq = counts / n
         assert np.all(np.abs(freq - 1 / 3) < 0.015)
 
     def test_markov_branch_symbol_law(self):
         # non-full-branch conditional sampling matches cylinder measures
         from dwde.interval_maps import cylinder_measure, enumerate_cylinders
-        from dwde.walks import _SymbolSampler
 
         m = build_map(
             ["0", "1/3", "2/3", "1"], [("2", "0"), ("3", "-1"), ("3", "-2")]
@@ -215,8 +211,7 @@ class TestSymbolicLaw:
         n = 30000
         counts: dict[tuple, int] = {}
         for seed in range(n):
-            s = _SymbolSampler(m, seed)
-            word = tuple(s.draw(t) for t in range(1, 4))
+            word = tuple(walks_module._symbols(m, seed, 3))
             counts[word] = counts.get(word, 0) + 1
         for w in enumerate_cylinders(m, 3):
             p = float(cylinder_measure(m, w))
@@ -252,7 +247,7 @@ class TestSymbolicLaw:
 
 class TestBatch:
     def test_scalar_fallback_matches_law(self):
-        # non-full-branch base goes through the scalar sampler
+        # a non-full-branch base draws its symbols from the Markov stream
         m = build_map(
             ["0", "1/3", "2/3", "1"], [("2", "0"), ("3", "-1"), ("3", "-2")]
         )
@@ -396,6 +391,121 @@ class TestBatchBitIdentity:
         # every walk is decided, at the latest at step 10: inside the
         # first block of 109 steps, and inside the third block of 4
         assert len(decided) == 300 and max(decided) == 10
+
+
+class TestMarkovBranchBitIdentity:
+    """Markov-branch symbol streams against a per-step reference draw.
+
+    Cell 0's image is cells {0, 1} and cell 2's is {1, 2}, so the symbol
+    chain's rows hold leading and trailing zero weights, and the
+    environment is a Markov chain with jump bound 2, so a select pass
+    reading the wrong row, state or draw changes some walk.
+    """
+
+    m = build_map(
+        ["0", "1/3", "2/3", "1"], [("2", "0"), ("3", "-1"), ("2", "-1")]
+    )
+    model = markov_model(
+        [fn(1, -1, 2), fn(-1, 1, -2), fn(0, 1, -1)],
+        [["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"], ["1/4", "0", "3/4"]],
+    )
+
+    def symbols(self, walk_seed, n_steps):
+        """One hash_u64 and one searchsorted per step, as a scalar walk
+        drew them one at a time."""
+        m = self.m
+        marginal = prf.choice_thresholds(m.measures)
+        rows = [
+            prf.choice_thresholds(
+                tuple(m.measures[k] / m.image_measures[j] for k in m.image_sets[j])
+            )
+            for j in range(m.num_cells)
+        ]
+        sym = None
+        for t in range(1, n_steps + 1):
+            u = np.uint64(prf.hash_u64(walk_seed, prf.DOMAIN_WALK, t))
+            if sym is None:
+                sym = int(np.searchsorted(marginal, u, side="right"))
+            else:
+                pick = int(np.searchsorted(rows[sym], u, side="right"))
+                sym = m.image_sets[sym][pick]
+            yield sym
+
+    def walk(self, env, walk_seed, start, n_steps):
+        site = start
+        for t, sym in enumerate(self.symbols(walk_seed, n_steps), 1):
+            site += env.at(site).jumps[sym]
+            yield t, site
+
+    @pytest.fixture(params=[None, 7, 1])
+    def block(self, request, monkeypatch):
+        """PRF elements per block: one block for the whole horizon, blocks
+        of 7 elements, and one element per block."""
+        if request.param is not None:
+            monkeypatch.setattr(walks_module, "BLOCK_ELEMENTS", request.param)
+        return request.param
+
+    def test_simulate_matches_per_step_draw(self, block):
+        env = realize(self.model, 5)
+        start, n_steps, seed, targets = 2, 300, 31337, (-7, 3, 12)
+        traj = simulate(
+            self.m, env, WalkState(None, start), n_steps, walk_seed=seed,
+            hit_targets=targets, record_every=4,
+        )
+        lo = hi = site = start
+        first, hits, path = None, {}, [start]
+        for t, site in self.walk(realize(self.model, 5), seed, start, n_steps):
+            lo, hi = min(lo, site), max(hi, site)
+            if first is None and site == start:
+                first = t
+            if site in targets and site not in hits:
+                hits[site] = t
+            if t % 4 == 0:
+                path.append(site)
+        assert (traj.final_site, traj.min_site, traj.max_site) == (site, lo, hi)
+        assert traj.first_return_time == first and first is not None
+        assert traj.hit_times == hits and len(hits) >= 2
+        assert traj.sites == path
+
+    def test_simulate_batch_matches_per_walk_loop(self, block):
+        envs = [realize(self.model, s) for s in (11, 12)]
+        n_walks, n_steps, seed, start = 30, 60, 2024, -1
+        res = simulate_batch(self.m, envs, n_walks, n_steps, seed, start_site=start)
+        # the per-walk loop of the scalar batch path this engine replaced
+        for e, env in enumerate(envs):
+            finals = np.empty(n_walks, dtype=np.int64)
+            mins = np.empty(n_walks, dtype=np.int64)
+            maxs = np.empty(n_walks, dtype=np.int64)
+            frts = np.empty(n_walks, dtype=np.int64)
+            for w in range(n_walks):
+                walk_seed = prf.hash_u64(seed, prf.DOMAIN_WALK, e, w)
+                traj = simulate(
+                    self.m, env, WalkState(None, start), n_steps, "symbolic", walk_seed
+                )
+                finals[w] = traj.final_site
+                mins[w] = traj.min_site
+                maxs[w] = traj.max_site
+                frts[w] = -1 if traj.first_return_time is None else traj.first_return_time
+            assert np.array_equal(res[e].final_sites, finals)
+            assert np.array_equal(res[e].min_sites, mins)
+            assert np.array_equal(res[e].max_sites, maxs)
+            assert np.array_equal(res[e].first_return_times, frts)
+            assert (frts >= 0).any() and (frts < 0).any()
+
+    def test_taboo_hit_matches_per_walk_loop(self, block):
+        env = realize(self.model, 12)
+        q = TabooQuery(start_block=0, target_block=2, taboo_block=-2, horizon=40)
+        n_walks, seed = 200, 77
+        successes = 0
+        for w in range(n_walks):
+            start = prf.hash_u64(seed, prf.DOMAIN_START, w) % 2
+            walk_seed = prf.hash_u64(seed, prf.DOMAIN_WALK, 0, w)
+            for _, site in self.walk(env, walk_seed, start, q.horizon):
+                if site // 2 in (q.target_block, q.taboo_block):
+                    successes += site // 2 == q.target_block
+                    break
+        assert 0 < successes < n_walks
+        assert taboo_hit(self.m, env, q, n_walks, walk_seed=seed).successes == successes
 
 
 class TestTaboo:
