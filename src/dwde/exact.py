@@ -9,11 +9,13 @@ A chain holds its site window as one class per site plus the distinct
 per-class transition rows (SiteChainDP), built from one index_window
 draw of a realization.  All probabilities are exact rationals except in
 the float fast paths.
-The exact inner loops run on Python ints: return_prob_by_time and
-first_passage_measure carry integer numerators over one common
-denominator per step, hit_before is one banded fraction-free
-elimination (elimination.solve), and each builds one Fraction per
-returned value.  The float fast paths all run on one light-cone float
+The exact inner loops run on Python ints: return_prob_by_time,
+first_passage_measure and series_diagnostic carry integer numerators
+over one common denominator per step, hit_before is one banded
+fraction-free elimination (elimination.solve), and each builds one
+Fraction per returned value.  The +/-1 sweeps (path_counts,
+series_diagnostic) hold only the sites of the step's parity, as lists
+advanced by elementwise adds.  The float fast paths all run on one light-cone float
 DP kernel (_float_dp) that advances a stack of solves together:
 return_prob_curve and final_distribution are single-chain wrappers (a
 stack of one), and float_dp_stack gives the curves and final laws of
@@ -27,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, log
+from operator import add, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -482,30 +485,31 @@ def path_counts(n_max: int, k_max: int) -> list[list[int]]:
 def _passage_column(n_max: int, k: int) -> list[int]:
     """Column k of path_counts: c[n][k] for n = 0..n_max."""
     column = [0] * (n_max + 1)
-    if k == 1:
+    if k <= 2:  # the straight descent; at k = 2 a path at -1 can only leave
         column[0] = 1
         return column
-    # corridor positions -1 .. -(k-1), index 0 .. k-2; a path of
-    # length t+1 first hits -k iff it sits at -(k-1) at time t
-    width = k - 1
-    counts = [0] * width
-    counts[0] = 1  # time 1: the first step must go down
-    length_needed = {2 * n + k: n for n in range(n_max + 1)}
-    if 2 in length_needed:  # only k = 2 has a length-2 passage
-        column[length_needed[2]] = counts[width - 1]
+    # corridor positions -1 .. -(k-1), index 0 .. k-2.  At time t every
+    # path sits at a position of parity t - 1, so the corridor is two
+    # parity lists, even = positions 0, 2, ... and odd = 1, 3, ..., and
+    # only the current one holds mass.  Position -(k-1) is the last entry
+    # of its list, and a path of length t + 1 first hits -k iff it sits
+    # there at time t.
+    top_odd = k % 2  # the top position k - 2 is odd when k is odd
+    even = [1] + [0] * ((k - 2) // 2)  # time 1: the first step must go down
+    odd: list[int] = []
     for t in range(2, 2 * n_max + k):
-        new = [0] * width
-        for pos in range(width):
-            c = counts[pos]
-            if not c:
-                continue
-            if pos > 0:
-                new[pos - 1] += c
-            if pos + 1 < width:
-                new[pos + 1] += c
-        counts = new
-        if (t + 1) in length_needed:
-            column[length_needed[t + 1]] = counts[width - 1]
+        if t % 2:  # odd positions -> even: entry i from odd i - 1 and i
+            even = [odd[0], *map(add, odd, odd[1:])]
+            if not top_odd:
+                even.append(odd[-1])
+            counts = even
+        else:  # even positions -> odd: entry i from even i and i + 1
+            odd = list(map(add, even, even[1:]))
+            if top_odd:
+                odd.append(even[-1])
+            counts = odd
+        if t >= k - 1 and (t - k) % 2:
+            column[(t + 1 - k) // 2] = counts[-1]
     return column
 
 
@@ -722,47 +726,73 @@ def series_diagnostic(
     S_J sums, over lags j <= J, the theta-weighted measure of points of
     the chosen cell at site 0 that are back in that cell at site 0 after
     j steps.  Exact: the joint (symbol, site) law is propagated with
-    integer numerators over a common denominator per step.
+    integer numerators over a common denominator per step, one list per
+    cell over the sites that can still be back at 0 by lag_max.  A step
+    splits each cell's mass into its +1 and -1 movers by the
+    environment's jump masks; each target cell then sums its preimage
+    cells' arrivals times their weights.
     """
     theta = as_fraction(theta)
     if not 0 < theta < 1:
         raise ValueError("theta must be in (0, 1)")
     if not 0 <= cell < m.num_cells:
         raise ValueError("cell out of range")
+    n_cells = m.num_cells
     rows = [
         [(k, m.measures[k] / m.image_measures[j]) for k in m.image_sets[j]]
-        for j in range(m.num_cells)
+        for j in range(n_cells)
     ]
     den = lcm(*(p.denominator for row in rows for _, p in row))
-    weights = [[(k, int(p * den)) for k, p in row] for row in rows]
-    jumps_at: dict[int, tuple[int, ...]] = {}
+    # each target cell's column: its preimage cells grouped by weight
+    columns = []
+    for k in range(n_cells):
+        by_weight: dict[int, list[int]] = {}
+        for j, row in enumerate(rows):
+            p = dict(row).get(k)
+            if p:
+                by_weight.setdefault(int(p * den), []).append(j)
+        columns.append(tuple((w, tuple(js)) for w, js in by_weight.items()))
+    # ups[j][i + lag_max] is 1 where cell j jumps +1 at site i, else 0
+    ups: list[list[int]] = [[] for _ in range(n_cells)]
     plus_counts = set()
     for i in range(-lag_max, lag_max + 1):
         f = env.at(i)
         if not f.values <= {1, -1}:
             raise UnsupportedJumpsError(f"site {i} has jumps {sorted(f.values)}")
-        jumps_at[i] = f.jumps
+        for up, v in zip(ups, f.jumps):
+            up.append(int(v == 1))
         plus_counts.add(sum(1 for v in f.jumps if v == 1))
 
+    # At lag t the walk sits on sites of parity t inside the cone
+    # |site| <= min(t, lag_max - t); mass beyond lag_max - t cannot come
+    # back by lag_max.  numers[j][n] is the numerator of cell j at site
+    # -h + 2n, with h the largest such site.
     scale = m.measures[cell] * (1 - theta) / (1 + theta)
-    numers: dict[tuple[int, int], int] = {(cell, 0): 1}
+    numers = [[int(j == cell)] for j in range(n_cells)]
+    h = 0
     increments = [scale]  # lag 0: the set itself
     partial = [scale]
     denom_t = 1
     for t in range(1, lag_max + 1):
-        new: dict[tuple[int, int], int] = {}
-        reach = lag_max - t
-        for (j, site), c in numers.items():
-            land = site + jumps_at[site][j]
-            if abs(land) > reach:
-                continue
-            for k, w in weights[j]:
-                key = (k, land)
-                got = new.get(key)
-                new[key] = c * w if got is None else got + c * w
-        numers = new
+        lo, hi = lag_max - h, lag_max + h + 1
+        grow = t <= lag_max - t
+        arrivals = []
+        for c, up in zip(numers, ups):
+            up = up[lo:hi:2]
+            if grow:  # site -h - 1 + 2n: up from entry n - 1, down from n
+                c, up = [0, *c, 0], [0, *up, 0]
+            # otherwise site -h + 1 + 2n: up from entry n, down from n + 1
+            arrivals.append(
+                [(x if ux else 0) + (0 if uy else y) for x, ux, y, uy in zip(c, up, c[1:], up[1:])]
+            )
+        h += 1 if grow else -1
+        combined: dict[tuple, list[int]] = {}  # equal columns are summed once
+        for column in columns:
+            if column not in combined:
+                combined[column] = _combine(column, arrivals, h + 1)
+        numers = [combined[column] for column in columns]
         denom_t *= den
-        ret = numers.get((cell, 0), 0)
+        ret = numers[cell][h // 2] if t % 2 == 0 else 0
         inc = Fraction(ret, denom_t) * scale if ret else Fraction(0)
         increments.append(inc)
         partial.append(partial[-1] + inc)
@@ -778,6 +808,21 @@ def series_diagnostic(
         increments=tuple(increments),
         geometric_bound=bound,
     )
+
+
+def _combine(
+    column: tuple[tuple[int, tuple[int, ...]], ...], arrivals: list[list[int]], size: int
+) -> list[int]:
+    """One target cell's numerators: the sum over its (weight, preimage
+    cells) groups of weight times the group's summed arrivals."""
+    total: Iterable[int] | None = None
+    for w, cells in column:
+        group: Iterable[int] = arrivals[cells[0]]
+        for j in cells[1:]:
+            group = map(add, group, arrivals[j])
+        term = map(mul, group, itertools.repeat(w))
+        total = term if total is None else map(add, total, term)
+    return [0] * size if total is None else list(total)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ from functools import cached_property
 from math import lcm, log
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
+from . import prf
 from .errors import (
     BadPartitionError,
     EnumerationTooLargeError,
@@ -67,6 +70,26 @@ class MarkovIntervalMap:
             sum((self.measures[k] for k in imset), Fraction(0))
             for imset in self.image_sets
         )
+
+    @cached_property
+    def symbol_rows(self) -> tuple[np.ndarray, ...]:
+        """Edges (prf.choice_thresholds) of the symbol chain of the coding
+        under Lebesgue measure.
+
+        Row j is the law of the symbol after j, m(a_k) / m(T a_j) on the
+        cells k of T a_j and 0 elsewhere, so a pick from it is a cell
+        index; the last row, the chain's start state, is the marginal law
+        m(a_k).  On a full-branch map every row is the marginal law.
+        """
+        rows = []
+        for j, image in enumerate(self.image_sets):
+            law = [
+                self.measures[k] / self.image_measures[j] if k in image else Fraction(0)
+                for k in range(self.num_cells)
+            ]
+            rows.append(prf.choice_thresholds(law))
+        rows.append(prf.choice_thresholds(self.measures))
+        return tuple(rows)
 
     def cell_of(self, x: Fraction) -> int:
         """Index of the cell containing x; x = 1 belongs to the last cell."""

@@ -6,11 +6,18 @@ are certified only on nodes whose whole jump neighborhood stays inside
 the window; anything touching the boundary is reported as truncated,
 because reachability through sites outside the window cannot be ruled
 in or out from a finite picture.
+
+Node (j, i) has the integer index (i + W) * cells + j, its position in
+the graph's node list, and the graph carries each node's successor
+indices next to the (node, node) edge list: the strong components
+(an iterative Tarjan) and the closure tests run on those integers.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Sequence
 
 from .environments import TransitionFunction
@@ -21,12 +28,21 @@ Node = tuple[int, int]  # (cell index, site)
 
 @dataclass
 class SkewGraph:
+    """The window graph over cells x [-window, window].
+
+    Node (j, i) has the integer index (i + window) * num_cells + j, its
+    position in `nodes`.  successors[v] holds the indices of node v's
+    successors inside the window, in edge order, so `edges` lists the
+    same graph as node pairs.
+    """
+
     window: int
     num_cells: int
     jump_bound: int
     nodes: list[Node]
     edges: list[tuple[Node, Node]]  # both endpoints inside the window
     external_edges: list[tuple[Node, Node]]  # target site outside
+    successors: list[tuple[int, ...]]
 
 
 def build_skew_graph(m: MarkovIntervalMap, env, window: int) -> SkewGraph:
@@ -38,30 +54,37 @@ def build_skew_graph(m: MarkovIntervalMap, env, window: int) -> SkewGraph:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    sites = range(-window, window + 1)
-    nodes = [(j, i) for i in sites for j in range(m.num_cells)]
-    edges = []
+    n_cells = m.num_cells
+    n_sites = 2 * window + 1
+    nodes = [(j, i) for i in range(-window, window + 1) for j in range(n_cells)]
+    jumps = [env.at(i).jumps for i in range(-window, window + 1)]
+    jump_bound = max(1, *map(abs, itertools.chain.from_iterable(jumps)))
+    # cell j's successors by target site, padded with empty tuples where
+    # the target leaves the window, read at site + jump for every site
+    pad = [()] * jump_bound
+    by_cell = []
+    for j, image in enumerate(m.image_sets):
+        rows = pad + list(zip(*(range(k, n_sites * n_cells, n_cells) for k in image))) + pad
+        targets = map(add, range(jump_bound, jump_bound + n_sites), map(itemgetter(j), jumps))
+        by_cell.append(map(rows.__getitem__, targets))
+    successors = list(itertools.chain.from_iterable(zip(*by_cell)))
+    edges = [(nodes[v], nodes[w]) for v, out in enumerate(successors) for w in out]
     external = []
-    jump_bound = 1
-    for i in sites:
-        jumps = env.at(i).jumps
-        for j in range(m.num_cells):
-            jump = jumps[j]
-            jump_bound = max(jump_bound, abs(jump))
+    for i, site_jumps in enumerate(jumps, -window):
+        if abs(i) <= window - jump_bound:
+            continue
+        for j, (jump, image) in enumerate(zip(site_jumps, m.image_sets)):
             target_site = i + jump
-            for k in m.image_sets[j]:
-                edge = ((j, i), (k, target_site))
-                if -window <= target_site <= window:
-                    edges.append(edge)
-                else:
-                    external.append(edge)
+            if abs(target_site) > window:
+                external += [((j, i), (k, target_site)) for k in image]
     return SkewGraph(
         window=window,
-        num_cells=m.num_cells,
+        num_cells=n_cells,
         jump_bound=jump_bound,
         nodes=nodes,
         edges=edges,
         external_edges=external,
+        successors=successors,
     )
 
 
@@ -85,35 +108,28 @@ def communication_classes(graph: SkewGraph) -> list[CommClass]:
     does, None when the component touches the boundary.  Classes are
     listed by their smallest node.
     """
-    order = {v: n for n, v in enumerate(graph.nodes)}
-    succ: list[list[int]] = [[] for _ in graph.nodes]
-    for a, b in graph.edges:
-        succ[order[a]].append(order[b])
+    succ = graph.successors
     comp = _tarjan_scc(succ)
+    n_cells, window, nodes = graph.num_cells, graph.window, graph.nodes
+    # members in (cell, site) order, which is the order of their nodes
+    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    for j in range(n_cells):
+        for v in range(j, len(comp), n_cells):
+            members[comp[v]].append(v)
+    # interior sites -interior..interior are the indices lo..hi - 1; an
+    # interior node's edges all stay inside the window
+    interior = window - graph.jump_bound
+    lo, hi = (window - interior) * n_cells, (window + interior + 1) * n_cells
 
-    n_comps = max(comp) + 1 if comp else 0
-    members: list[list[Node]] = [[] for _ in range(n_comps)]
-    for v, c in zip(graph.nodes, comp):
-        members[c].append(v)
-
-    leaves: list[bool] = [False] * n_comps
-    for a, b in graph.edges:
-        if comp[order[a]] != comp[order[b]]:
-            leaves[comp[order[a]]] = True
-    external_from = {a for a, _ in graph.external_edges}
-
-    interior = graph.window - graph.jump_bound
     out = []
-    for c in range(n_comps):
-        inside = tuple(sorted(v for v in members[c] if abs(v[1]) <= interior))
-        boundary = tuple(sorted(v for v in members[c] if abs(v[1]) > interior))
+    for c, vs in enumerate(members):
+        inside = tuple(nodes[v] for v in vs if lo <= v < hi)
+        boundary = tuple(nodes[v] for v in vs if not lo <= v < hi)
         if inside:
             if boundary:
                 closed = None  # truncated component: closure undecidable
             else:
-                closed = not leaves[c] and not any(
-                    v in external_from for v in members[c]
-                )
+                closed = not any(comp[w] != c for v in vs for w in succ[v])
             out.append(CommClass(nodes=inside, certified=True, closed=closed))
         if boundary:
             out.append(CommClass(nodes=boundary, certified=False, closed=None))
@@ -121,8 +137,10 @@ def communication_classes(graph: SkewGraph) -> list[CommClass]:
     return out
 
 
-def _tarjan_scc(succ: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; returns a component id per vertex."""
+def _tarjan_scc(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Iterative Tarjan; returns a component id per vertex.  Each vertex
+    on the work stack carries an iterator over its successors, so a
+    resumed vertex continues where it left off."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
@@ -134,38 +152,37 @@ def _tarjan_scc(succ: list[list[int]]) -> list[int]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
+            v, successors = work[-1]
+            for w in successors:
                 if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comps
-                    if w == v:
-                        break
-                n_comps += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = n_comps
+                        if w == v:
+                            break
+                    n_comps += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return comp
 
 

@@ -15,7 +15,8 @@ walk's symbols never depend on its site, so they are drawn one block of
 steps at a time: one PRF round per block, then one pick for i.i.d.
 symbols, or for Markov symbols one pick per cell and a select pass
 that follows each walk's chain (prf.markov_path for a scalar walk,
-prf.markov_paths across a batch).  A batch then steps every walk by one
+prf.markov_paths across a batch), on threshold rows the map builds once
+(MarkovIntervalMap.symbol_rows).  A batch then steps every walk by one
 gather per step (_BatchEngine).  Exact and scalar symbolic walks look
 up each visited site's jumps once per call.
 """
@@ -104,27 +105,6 @@ def uniform_rational_start(
 BLOCK_ELEMENTS = 1 << 15
 
 
-def _symbol_rows(m: MarkovIntervalMap) -> list[np.ndarray] | None:
-    """Edges of the symbol chain of a Markov-branch map's coding.
-
-    Row j is the law of the symbol after j, m(a_k) / m(T a_j) on the
-    cells k of T a_j and 0 elsewhere, so a pick from it is a cell index;
-    the last row, the chain's start state, is the marginal law m(a_k).
-    None for a full-branch map, whose symbols are i.i.d.
-    """
-    if m.full_branch:
-        return None
-    rows = []
-    for j, image in enumerate(m.image_sets):
-        law = [
-            m.measures[k] / m.image_measures[j] if k in image else Fraction(0)
-            for k in range(m.num_cells)
-        ]
-        rows.append(prf.choice_thresholds(law))
-    rows.append(prf.choice_thresholds(m.measures))
-    return rows
-
-
 def _symbols(m: MarkovIntervalMap, walk_seed: int, n_steps: int):
     """The Lebesgue-law symbols of steps 1..n_steps, a block at a time.
 
@@ -133,14 +113,13 @@ def _symbols(m: MarkovIntervalMap, walk_seed: int, n_steps: int):
     the row of the symbol before it.
     """
     key = prf.hash_u64(walk_seed, prf.DOMAIN_WALK)
-    rows = _symbol_rows(m)
-    marginal = prf.choice_thresholds(m.measures)
+    rows = m.symbol_rows
     state = m.num_cells  # the start row
     for t in range(1, n_steps + 1, BLOCK_ELEMENTS):
         counters = np.arange(t, min(t + BLOCK_ELEMENTS, n_steps + 1), dtype=np.int64)
         u = prf.absorb_array(key, counters)
-        if rows is None:
-            yield from prf.pick_array(marginal, u).tolist()
+        if m.full_branch:
+            yield from prf.pick_array(rows[-1], u).tolist()
         else:
             block = prf.markov_path(u, rows, state)
             state = block[-1]
@@ -267,8 +246,8 @@ class _BatchEngine:
         self.streams = prf.absorb_array(prf.absorb_array(base, env_ids), walk_ids)
         self.origin = (env_ids * width - window_lo) * k
         self.pos = self.origin + start_sites.astype(np.int64) * k
-        self.thresholds = prf.choice_thresholds(m.measures)
-        self.rows = _symbol_rows(m)
+        self.thresholds = m.symbol_rows[-1]  # the marginal law
+        self.rows = None if m.full_branch else m.symbol_rows
         if self.rows is not None:
             self.streams = prf.hash_u64_seeds(self.streams, prf.DOMAIN_WALK)
             self.state = np.full(len(self.pos), k, dtype=np.int64)  # the start row

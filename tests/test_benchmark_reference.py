@@ -19,14 +19,15 @@ from dwdebench.runner import LoopResult, load_reference, reference_key, run_requ
 from dwdebench.workloads import Workload  # noqa: E402
 
 # (workload, seed, request indices): the first three requests of both
-# scan workloads, and two rounds of the fourteen oracle families, so
-# each family runs on two environment seeds
+# scan workloads, and two rounds of the fourteen oracle families on two
+# seeds, so each family runs on four environment seeds
 REPLAYS = [
     ("mc-scan", 0, range(3)),
     ("mc-scan", 1, range(3)),
     ("dp-certify", 0, range(3)),
     ("dp-certify", 1, range(3)),
     ("oracle-mix", 0, range(28)),
+    ("oracle-mix", 1, range(28)),
 ]
 
 

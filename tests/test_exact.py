@@ -3,6 +3,7 @@
 import itertools
 import time
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -86,6 +87,69 @@ def fraction_return_prob(chain, start: int, n: int) -> Fraction:
     return returned
 
 
+def per_site_path_counts(n_max: int, k_max: int) -> list[list[int]]:
+    """Reference for path_counts: the corridor swept one site at a time
+    over every position, both parities included."""
+    table = [[0] * (k_max + 1) for _ in range(n_max + 1)]
+    for k in range(1, k_max + 1):
+        if k == 1:
+            table[0][1] = 1
+            continue
+        width = k - 1  # positions -1 .. -(k-1)
+        counts = [0] * width
+        counts[0] = 1  # time 1: the first step must go down
+        length_needed = {2 * n + k: n for n in range(n_max + 1)}
+        if 2 in length_needed:
+            table[length_needed[2]][k] = counts[width - 1]
+        for t in range(2, 2 * n_max + k):
+            new = [0] * width
+            for pos in range(width):
+                c = counts[pos]
+                if not c:
+                    continue
+                if pos > 0:
+                    new[pos - 1] += c
+                if pos + 1 < width:
+                    new[pos + 1] += c
+            counts = new
+            if (t + 1) in length_needed:
+                table[length_needed[t + 1]][k] = counts[width - 1]
+    return table
+
+
+def dict_series_diagnostic(m, env, cell: int, theta, lag_max: int):
+    """Reference (partial_sums, increments) for series_diagnostic: the
+    joint (cell, site) law as a fresh dict per lag."""
+    theta = F(theta)
+    rows = [
+        [(k, m.measures[k] / m.image_measures[j]) for k in m.image_sets[j]]
+        for j in range(m.num_cells)
+    ]
+    den = lcm(*(p.denominator for row in rows for _, p in row))
+    weights = [[(k, int(p * den)) for k, p in row] for row in rows]
+    jumps_at = {i: env.at(i).jumps for i in range(-lag_max, lag_max + 1)}
+    scale = m.measures[cell] * (1 - theta) / (1 + theta)
+    numers = {(cell, 0): 1}
+    increments = [scale]
+    partial = [scale]
+    denom_t = 1
+    for t in range(1, lag_max + 1):
+        new = {}
+        reach = lag_max - t
+        for (j, site), c in numers.items():
+            land = site + jumps_at[site][j]
+            if abs(land) > reach:
+                continue
+            for k, w in weights[j]:
+                new[(k, land)] = new.get((k, land), 0) + c * w
+        numers = new
+        denom_t *= den
+        inc = F(numers.get((cell, 0), 0), denom_t) * scale
+        increments.append(inc)
+        partial.append(partial[-1] + inc)
+    return tuple(partial), tuple(increments)
+
+
 def fraction_first_passage(m, env, k: int, n_max: int, direction: int):
     """Reference (value, comparison_bound) for first_passage_measure, in
     Fraction arithmetic."""
@@ -118,7 +182,7 @@ def fraction_first_passage(m, env, k: int, n_max: int, direction: int):
         return value, None
     r = toward.pop()
     g = gibbs_bounds(m).sup_g
-    c = path_counts(n_max, k)
+    c = per_site_path_counts(n_max, k)
     series = sum(c[n][k] * (F((m.num_cells - r) * r) * g**2) ** n for n in range(n_max + 1))
     return value, F(r) ** k * g**k * series
 
@@ -579,6 +643,51 @@ class TestPathCounts:
         # the only interior site is -1, so any detour exits the corridor
         c = path_counts(6, 2)
         assert [c[n][2] for n in range(7)] == [1, 0, 0, 0, 0, 0, 0]
+
+
+class TestParityListSweepsMatchReferences:
+    """path_counts and series_diagnostic against the per-site and
+    per-(cell, site) sweeps they replaced."""
+
+    @pytest.mark.parametrize(
+        "n_max, k_max", [(0, 1), (3, 2), (6, 3), (9, 4), (14, 9), (25, 16), (60, 40)]
+    )
+    def test_path_counts(self, n_max, k_max):
+        assert path_counts(n_max, k_max) == per_site_path_counts(n_max, k_max)
+
+    @pytest.mark.parametrize("direction", [-1, 1])
+    def test_first_passage_unchanged(self, direction):
+        m = triple_map()
+        env = realize(iid_model([fn(1, 1, -1), fn(1, -1, 1), fn(-1, 1, 1)]), 5)
+        for k, n_max in ((1, 8), (2, 8), (3, 20), (4, 20), (7, 30), (12, 40)):
+            got = first_passage_measure(m, env, k, n_max, direction)
+            value, bound = fraction_first_passage(m, env, k, n_max, direction)
+            assert (got.value, got.comparison_bound) == (value, bound), k
+
+    @pytest.mark.parametrize(
+        "m, model",
+        [
+            (triple_map(), iid_model([fn(1, -1, 1), fn(-1, 1, -1), fn(1, 1, -1)])),
+            (QUARTER_MAP, iid_model([fn(1, -1, -1), fn(-1, 1, 1)], ["1/3", "2/3"])),
+            (
+                NON_FULL_MAP,
+                markov_model([fn(1, -1, 1), fn(-1, 1, -1)], [["2/3", "1/3"], ["1/3", "2/3"]]),
+            ),
+        ],
+    )
+    def test_series_diagnostic(self, m, model):
+        env = realize(model, 3)
+        for cell in range(m.num_cells):
+            for theta in ("1/3", "1/2", "2/3"):
+                for lag in (0, 1, 2, 3, 7, 10, 31, 240):
+                    got = series_diagnostic(m, env, cell, theta, lag)
+                    want = dict_series_diagnostic(m, env, cell, theta, lag)
+                    assert (got.partial_sums, got.increments) == want, (cell, theta, lag)
+
+    def test_series_diagnostic_rejects_bigger_jumps(self):
+        env = realize(iid_model([fn(1, -1), fn(2, -1)]), 0)
+        with pytest.raises(UnsupportedJumpsError):
+            series_diagnostic(doubling_map(), env, 0, "1/2", 40)
 
 
 class TestFirstPassage:

@@ -1,13 +1,28 @@
 """Skew-graph structure, communication classes, linkage condition."""
 
-from dwde.environments import fixed_model, fn, iid_model, realize, two_sided_model
+import random
+
+import pytest
+
+from dwde.environments import (
+    fixed_model,
+    fn,
+    iid_model,
+    markov_model,
+    realize,
+    two_sided_model,
+)
 from dwde.interval_maps import build_map, doubling_map, triple_map
 from dwde.structure import (
+    _tarjan_scc,
     build_skew_graph,
     check_linkage,
     communication_classes,
     edge_list_text,
 )
+
+NON_FULL_MAP = build_map(["0", "1/3", "2/3", "1"], [("2", "0"), ("3", "-1"), ("3", "-2")])
+MARKOV_PM1 = markov_model([fn(1, -1, 1), fn(-1, 1, -1)], [["2/3", "1/3"], ["1/3", "2/3"]])
 
 
 class _TableEnv:
@@ -100,6 +115,149 @@ class TestCommunicationClasses:
                 d for d in large if set(c.nodes) <= set(d.nodes)
             ]
             assert len(holders) == 1
+
+
+def tuple_skew_graph(m, env, window):
+    """Reference for build_skew_graph: (nodes, edges, external_edges,
+    jump_bound) built one (node, node) tuple at a time."""
+    sites = range(-window, window + 1)
+    nodes = [(j, i) for i in sites for j in range(m.num_cells)]
+    edges, external, jump_bound = [], [], 1
+    for i in sites:
+        jumps = env.at(i).jumps
+        for j in range(m.num_cells):
+            jump_bound = max(jump_bound, abs(jumps[j]))
+            target_site = i + jumps[j]
+            for k in m.image_sets[j]:
+                edge = ((j, i), (k, target_site))
+                (edges if -window <= target_site <= window else external).append(edge)
+    return nodes, edges, external, jump_bound
+
+
+def tuple_classes(nodes, edges, external, window, jump_bound):
+    """Reference for communication_classes on the tuple graph, through a
+    node -> index dict and a re-scanning Tarjan."""
+    order = {v: n for n, v in enumerate(nodes)}
+    succ = [[] for _ in nodes]
+    for a, b in edges:
+        succ[order[a]].append(order[b])
+    n = len(succ)
+    index, low, on_stack, stack, comp = [-1] * n, [0] * n, [False] * n, [], [-1] * n
+    counter = n_comps = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            recurse = False
+            for i in range(pi, len(succ[v])):
+                w = succ[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if recurse:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = n_comps
+                    if w == v:
+                        break
+                n_comps += 1
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    members = [[] for _ in range(n_comps)]
+    for v, c in zip(nodes, comp):
+        members[c].append(v)
+    leaves = [False] * n_comps
+    for a, b in edges:
+        if comp[order[a]] != comp[order[b]]:
+            leaves[comp[order[a]]] = True
+    external_from = {a for a, _ in external}
+    interior = window - jump_bound
+    out = []
+    for c in range(n_comps):
+        inside = tuple(sorted(v for v in members[c] if abs(v[1]) <= interior))
+        boundary = tuple(sorted(v for v in members[c] if abs(v[1]) > interior))
+        if inside:
+            closed = None
+            if not boundary:
+                closed = not leaves[c] and not any(v in external_from for v in members[c])
+            out.append((inside, True, closed))
+        if boundary:
+            out.append((boundary, False, None))
+    out.sort(key=lambda cc: (cc[0][0], not cc[1]))
+    return out, comp
+
+
+class TestIntegerGraphMatchesTupleGraph:
+    @pytest.mark.parametrize(
+        "m, env, window",
+        [
+            (NON_FULL_MAP, realize(MARKOV_PM1, 4), 40),
+            (NON_FULL_MAP, realize(iid_model([fn(1, -1, 1), fn(-1, 1, 1)]), 2), 1),
+            (triple_map(), realize(iid_model([fn(2, -1, 1), fn(-2, 1, 3)]), 7), 9),
+            (triple_map(), realize(fixed_model(fn(1, 1, -1)), 0), 5),
+            (doubling_map(), realize(iid_model([fn(1, -1), fn(-1, 1), fn(1, 1)]), 17), 30),
+            (doubling_map(), _TableEnv(fn(1, -1), {0: fn(1, 1), 1: fn(-1, -1)}), 6),
+        ],
+    )
+    def test_graph_and_classes(self, m, env, window):
+        nodes, edges, external, jump_bound = tuple_skew_graph(m, env, window)
+        g = build_skew_graph(m, env, window)
+        assert (g.nodes, g.edges, g.external_edges, g.jump_bound) == (
+            nodes, edges, external, jump_bound,
+        )
+        assert [(a, b) for a, b in g.edges] == [
+            (g.nodes[v], g.nodes[w]) for v, out in enumerate(g.successors) for w in out
+        ]
+        want, comp = tuple_classes(nodes, edges, external, window, jump_bound)
+        got = communication_classes(g)
+        assert [(c.nodes, c.certified, c.closed) for c in got] == want
+        assert _tarjan_scc(g.successors) == comp
+
+    def test_truncated_class_touches_the_boundary(self):
+        m = doubling_map()
+        env = realize(fixed_model(fn(1, -1)), 0)
+        g = build_skew_graph(m, env, 4)
+        want, _ = tuple_classes(g.nodes, g.edges, g.external_edges, 4, g.jump_bound)
+        got = [(c.nodes, c.certified, c.closed) for c in communication_classes(g)]
+        assert got == want
+        assert any(not certified for _, certified, _ in got)
+        assert all(closed is None for _, certified, closed in got if certified)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tarjan_partition_matches_scipy(seed):
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rng = random.Random(seed)
+    n = rng.randint(1, 400)
+    degree = rng.choice([0.5, 1.0, 1.5, 3.0])
+    succ = [
+        [rng.randrange(n) for _ in range(int(rng.expovariate(1 / degree)))] for _ in range(n)
+    ]
+    comp = _tarjan_scc(succ)
+    rows = [v for v, out in enumerate(succ) for _ in out]
+    cols = [w for out in succ for w in out]
+    adj = sparse.csr_matrix(([1] * len(rows), (rows, cols)), shape=(n, n))
+    _, labels = csgraph.connected_components(adj, directed=True, connection="strong")
+    # the same partition: the two labelings determine each other
+    pairs = set(zip(comp, labels.tolist()))
+    assert len(pairs) == len(set(comp)) == len(set(labels.tolist()))
 
 
 class TestLinkage:

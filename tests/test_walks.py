@@ -201,6 +201,15 @@ class TestSymbolicLaw:
         freq = counts / n
         assert np.all(np.abs(freq - 1 / 3) < 0.015)
 
+    def test_symbol_rows_are_built_once_per_map(self):
+        m = build_map(["0", "1/3", "2/3", "1"], [("2", "0"), ("3", "-1"), ("3", "-2")])
+        rows = m.symbol_rows
+        assert m.symbol_rows is rows
+        assert len(rows) == m.num_cells + 1
+        assert rows[-1].tolist() == prf.choice_thresholds(m.measures).tolist()
+        # cell 0 covers cells 0 and 1 only, each with probability 1/2
+        assert rows[0].tolist() == prf.choice_thresholds((F(1, 2), F(1, 2), F(0))).tolist()
+
     def test_markov_branch_symbol_law(self):
         # non-full-branch conditional sampling matches cylinder measures
         from dwde.interval_maps import cylinder_measure, enumerate_cylinders
