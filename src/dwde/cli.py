@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 internal failure, 2 configuration error,
-3 verdict-consistency failure (Monte Carlo label contradicting the DP
-label, or a dissenting environment in a zero-one scan).
+Exit codes: 0 success, 1 internal failure or an output file that
+cannot be written, 2 configuration error (an unreadable or malformed
+input or results file included), 3 verdict-consistency failure (Monte
+Carlo label contradicting the DP label, or a dissenting environment in
+a zero-one scan).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +20,11 @@ from .config import (
     load_env_block,
     load_map,
     load_scenario,
+    make_dirs,
+    read_json,
     save_scenario,
+    scenario_to_dict,
+    write_text,
 )
 from .environments import realize
 from .errors import ConfigError, ConsistencyError, DwdeError
@@ -36,6 +41,7 @@ from .experiments import classify, zero_one_scan
 from .interval_maps import as_fraction
 from .presets import PRESETS, get_preset
 from .reports import (
+    RENDERERS,
     classify_payload,
     ensemble_csv,
     scan_payload,
@@ -50,13 +56,15 @@ def _rational_out(value: Fraction) -> dict:
     return {"value": str(value), "decimal": float(value)}
 
 
-def _emit(payload, out: str | None) -> None:
-    text = canonical_json(payload)
+def _output(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out: str | None) -> None:
+    _output(canonical_json(payload), out)
 
 
 def _load_map_env(args):
@@ -327,23 +335,15 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    m = load_map(args.map)
     if args.structure_command == "linkage":
         model, _ = load_env_block(args.env)
-        res = check_linkage(m, model.support)
+        res = check_linkage(load_map(args.map), model.support)
         _emit({"holds": res.holds, "witness": res.witness}, args.out)
         return 0
-    model, block_seed = load_env_block(args.env)
-    seed = args.env_seed if args.env_seed is not None else block_seed
-    env = realize(model, seed)
+    m, env = _load_map_env(args)
     graph = build_skew_graph(m, env, args.window)
     if args.structure_command == "graph":
-        text = edge_list_text(graph)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _output(edge_list_text(graph), args.out)
         return 0
     classes = communication_classes(graph)
     _emit(
@@ -388,75 +388,30 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    try:
-        with open(args.results, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read results {args.results}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"results {args.results} are not valid JSON: {err}") from err
+_RESULT_KEYS = {"scenario", "aggregate", "verdicts"}
 
-    if args.format == "json":
-        text = canonical_json(payload)
-    elif args.format == "csv":
-        text = _csv_from_payload(payload)
-    else:
-        text = _markdown_from_payload(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+
+def _cmd_report(args) -> int:
+    payload = read_json(args.results, "results")
+    if not isinstance(payload, dict) or not _RESULT_KEYS <= payload.keys():
+        raise ConfigError(
+            f"results {args.results} lack one of {sorted(_RESULT_KEYS)}"
+        )
+    try:
+        text = RENDERERS[args.format](payload)
+    except (AttributeError, IndexError, KeyError, TypeError) as err:
+        raise ConfigError(f"results {args.results} are malformed ({err!r})") from err
+    _output(text, args.out)
     return 0
 
 
-def _csv_from_payload(payload: dict) -> str:
-    from .reports import VERDICT_COLUMNS, _fmt
-
-    rows = [",".join(VERDICT_COLUMNS)]
-    for v in payload.get("verdicts", []):
-        ev = v.get("evidence", {})
-        rows.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    v.get("env_index"),
-                    v.get("env_seed"),
-                    v.get("label"),
-                    ev.get("return_fraction"),
-                    ev.get("right_fraction"),
-                    ev.get("left_fraction"),
-                    ev.get("late_return_fraction"),
-                    ev.get("dp_return_prob"),
-                    ev.get("dp_right_prob"),
-                    ev.get("dp_left_prob"),
-                    ev.get("dp_late_return_prob"),
-                    ev.get("dp_label"),
-                )
-            )
-        )
-    return "\n".join(rows) + "\n"
-
-
-def _markdown_from_payload(payload: dict) -> str:
-    name = payload.get("scenario", {}).get("name", "scenario")
-    lines = [f"# Scenario: {name}", "", "## Aggregate labels", ""]
-    for label, frac in sorted(payload.get("aggregate", {}).items()):
-        lines.append(f"- {label}: {frac}")
-    lines.append("")
-    return "\n".join(lines)
-
-
 def _cmd_presets(args) -> int:
-    from .config import scenario_to_dict
-
     if args.show:
         config = get_preset(args.show)
         sys.stdout.write(canonical_json(scenario_to_dict(config)))
         return 0
     if args.export:
-        os.makedirs(args.export, exist_ok=True)
+        make_dirs(args.export)
         for name in sorted(PRESETS):
             save_scenario(get_preset(name), os.path.join(args.export, f"{name}.json"))
         sys.stdout.write(f"exported {len(PRESETS)} presets to {args.export}\n")
@@ -492,9 +447,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exit_err.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except KeyError as err:
-        sys.stderr.write(f"config error: unknown preset {err}\n")
-        return 2
     except ConsistencyError as err:
         sys.stderr.write(f"verdict consistency failure: {err}\n")
         return 3

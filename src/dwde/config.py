@@ -9,7 +9,8 @@ experiment byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .environments import (
@@ -25,7 +26,7 @@ from .environments import (
     periodic_model,
     two_sided_model,
 )
-from .errors import ConfigError, DwdeError
+from .errors import ConfigError, DwdeError, IoFailureError
 from .interval_maps import MarkovIntervalMap, as_fraction
 from .interval_maps import map_from_spec as _map_from_spec
 from .interval_maps import map_to_spec as _map_to_spec
@@ -134,19 +135,7 @@ class ScenarioConfig:
             )
 
     def with_seed(self, master_seed: int) -> "ScenarioConfig":
-        return ScenarioConfig(
-            name=self.name,
-            map=self.map,
-            environment=self.environment,
-            kind=self.kind,
-            n_envs=self.n_envs,
-            n_walks=self.n_walks,
-            horizon=self.horizon,
-            divergence_margin=self.divergence_margin,
-            return_goal=self.return_goal,
-            master_seed=master_seed,
-            certificate_r=self.certificate_r,
-        )
+        return replace(self, master_seed=master_seed)
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
@@ -212,42 +201,51 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def read_json(path: str, what: str):
+    """Parse the JSON file at path; an unreadable or invalid file is a
+    ConfigError naming it as `what`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    return scenario_from_dict(doc)
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
+    except ValueError as err:  # JSONDecodeError or undecodable bytes
+        raise ConfigError(f"{what} {path} is not valid JSON: {err}") from err
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to path byte for byte ('\\n' line ends on every platform);
+    an OSError becomes IoFailureError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise IoFailureError(f"cannot write {path}: {err}") from err
+
+
+def make_dirs(path: str) -> None:
+    """os.makedirs(path, exist_ok=True), with write_text's IoFailureError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise IoFailureError(f"cannot write {path}: {err}") from err
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    return scenario_from_dict(read_json(path, "config"))
 
 
 def save_scenario(config: ScenarioConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(scenario_to_dict(config)))
+    write_text(path, canonical_json(scenario_to_dict(config)))
 
 
 def load_map(path: str) -> MarkovIntervalMap:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read map spec {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"map spec {path} is not valid JSON: {err}") from err
-    return _map_from_spec(doc)
+    return _map_from_spec(read_json(path, "map spec"))
 
 
 def load_env_block(path: str) -> tuple[EnvironmentModel, int]:
     """Environment spec file -> (model, seed); block seed defaults to 0."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read environment spec {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"environment spec {path} is not valid JSON: {err}") from err
+    doc = read_json(path, "environment spec")
     model = env_model_from_spec(doc)
     try:
         seed = int(doc.get("seed", 0))

@@ -70,4 +70,4 @@ class ConsistencyError(DwdeError):
 
 
 class IoFailureError(DwdeError):
-    """A report could not be written."""
+    """An output file (report, CSV, JSON or exported config) could not be written."""

@@ -140,14 +140,10 @@ def build_site_chain(
         support = tuple(index_of)
 
     if joint:
-        symbol_rows = [
-            tuple((k, m.measures[k] / m.image_measures[j]) for k in m.image_sets[j])
-            for j in range(m.num_cells)
-        ]
         per_fn = [
             tuple(
-                tuple((k, f.jumps[j], p) for k, p in symbol_rows[j])
-                for j in range(m.num_cells)
+                tuple((k, f.jumps[j], p) for k, p in pairs)
+                for j, pairs in enumerate(m.symbol_law)
             )
             for f in support
         ]
@@ -738,10 +734,7 @@ def series_diagnostic(
     if not 0 <= cell < m.num_cells:
         raise ValueError("cell out of range")
     n_cells = m.num_cells
-    rows = [
-        [(k, m.measures[k] / m.image_measures[j]) for k in m.image_sets[j]]
-        for j in range(n_cells)
-    ]
+    rows = m.symbol_law
     den = lcm(*(p.denominator for row in rows for _, p in row))
     # each target cell's column: its preimage cells grouped by weight
     columns = []

@@ -72,21 +72,28 @@ class MarkovIntervalMap:
         )
 
     @cached_property
-    def symbol_rows(self) -> tuple[np.ndarray, ...]:
-        """Edges (prf.choice_thresholds) of the symbol chain of the coding
-        under Lebesgue measure.
+    def symbol_law(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The symbol chain of the coding under Lebesgue measure: per cell
+        j, the pairs (k, m(a_k) / m(T a_j)) over the cells k of T a_j."""
+        return tuple(
+            tuple((k, self.measures[k] / self.image_measures[j]) for k in image)
+            for j, image in enumerate(self.image_sets)
+        )
 
-        Row j is the law of the symbol after j, m(a_k) / m(T a_j) on the
-        cells k of T a_j and 0 elsewhere, so a pick from it is a cell
-        index; the last row, the chain's start state, is the marginal law
-        m(a_k).  On a full-branch map every row is the marginal law.
+    @cached_property
+    def symbol_rows(self) -> tuple[np.ndarray, ...]:
+        """Edges (prf.choice_thresholds) of symbol_law.
+
+        Row j is the law of the symbol after j, 0 off the cells of T a_j,
+        so a pick from it is a cell index; the last row, the chain's
+        start state, is the marginal law m(a_k).  On a full-branch map
+        every row is the marginal law.
         """
         rows = []
-        for j, image in enumerate(self.image_sets):
-            law = [
-                self.measures[k] / self.image_measures[j] if k in image else Fraction(0)
-                for k in range(self.num_cells)
-            ]
+        for pairs in self.symbol_law:
+            law = [Fraction(0)] * self.num_cells
+            for k, p in pairs:
+                law[k] = p
             rows.append(prf.choice_thresholds(law))
         rows.append(prf.choice_thresholds(self.measures))
         return tuple(rows)
@@ -272,12 +279,7 @@ def iter_cylinders(
             f"{m.num_cells}^{n} words exceeds cap {cap}"
         )
     measures = m.measures
-    # child measure ratio m(a_k) / m(T a_j), precomputed once per edge
-    ratios = [
-        {k: measures[k] / m.image_measures[j] for k in m.image_sets[j]}
-        for j in range(m.num_cells)
-    ]
-    image_sets = m.image_sets
+    law = m.symbol_law  # child measure ratios m(a_k) / m(T a_j)
     # piecewise-linear maps have few distinct cylinder masses per rank, so
     # the DFS carries a mass-class id: each distinct mass is interned once
     # and each (class, last symbol) row of child classes is built once
@@ -304,7 +306,7 @@ def iter_cylinders(
         row = children.get((c, j))
         if row is None:
             row = children[(c, j)] = tuple(
-                (k, intern(masses[c] * ratios[j][k])) for k in image_sets[j]
+                (k, intern(masses[c] * p)) for k, p in law[j]
             )
         if len(word) == n - 1:
             for k, child in row:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .config import ScenarioConfig
 from .environments import fixed_model, fn, iid_model, two_sided_model
+from .errors import ConfigError
 from .interval_maps import build_map, doubling_map, triple_map
 
 F = Fraction
@@ -162,9 +163,8 @@ PRESETS = {
 
 
 def get_preset(name: str) -> ScenarioConfig:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise KeyError(
+    if name not in PRESETS:
+        raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None
+        )
+    return PRESETS[name]()

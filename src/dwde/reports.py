@@ -2,17 +2,17 @@
 
 Same results and seeds must produce byte-identical files: keys are
 sorted, floats use shortest round-trip repr, and no timestamps or
-machine identifiers enter the output.
+machine identifiers enter the output.  Every format is rendered from
+the JSON-native payload (RENDERERS), so a stored .json result renders
+again to the bytes written beside it.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 
-from .config import canonical_json, scenario_to_dict
-from .errors import IoFailureError
+from .config import canonical_json, make_dirs, scenario_to_dict, write_text
 from .experiments import ClassifyResult, ScanResult
 from .walks import EnsembleReport
 
@@ -65,29 +65,6 @@ def ensemble_csv(report: EnsembleReport) -> str:
     return out.getvalue()
 
 
-def verdicts_csv(result: ClassifyResult) -> str:
-    out = io.StringIO()
-    out.write(",".join(VERDICT_COLUMNS) + "\n")
-    for v in result.verdicts:
-        ev = v.evidence
-        row = [
-            v.env_index,
-            v.env_seed,
-            v.label,
-            ev.get("return_fraction"),
-            ev.get("right_fraction"),
-            ev.get("left_fraction"),
-            ev.get("late_return_fraction"),
-            ev.get("dp_return_prob"),
-            ev.get("dp_right_prob"),
-            ev.get("dp_left_prob"),
-            ev.get("dp_late_return_prob"),
-            ev.get("dp_label"),
-        ]
-        out.write(",".join(_fmt(x) for x in row) + "\n")
-    return out.getvalue()
-
-
 def classify_payload(result: ClassifyResult) -> dict:
     """JSON-native verdict payload; parse(render(x)) round-trips."""
     return {
@@ -109,36 +86,57 @@ def classify_payload(result: ClassifyResult) -> dict:
     }
 
 
-def scan_payload(scan: ScanResult) -> dict:
-    payload = classify_payload(scan.classify_result)
-    payload["scan"] = {
-        "homogeneous": scan.homogeneous,
-        "majority_label": scan.majority_label,
-        "dissenters": scan.dissenters,
-    }
+def _payload(result: ClassifyResult, scan: ScanResult | None = None) -> dict:
+    payload = classify_payload(result)
+    if scan is not None:
+        payload["scan"] = {
+            "homogeneous": scan.homogeneous,
+            "majority_label": scan.majority_label,
+            "dissenters": scan.dissenters,
+        }
     return payload
 
 
-def markdown_summary(result: ClassifyResult, scan: ScanResult | None = None) -> str:
-    config = result.config
+def scan_payload(scan: ScanResult) -> dict:
+    return _payload(scan.classify_result, scan)
+
+
+def _render_csv(payload: dict) -> str:
+    """The verdict CSV of a payload: one row per environment."""
+    out = io.StringIO()
+    out.write(",".join(VERDICT_COLUMNS) + "\n")
+    for v in payload["verdicts"]:
+        ev = v["evidence"]
+        row = [v["env_index"], v["env_seed"], v["label"]]
+        row += [ev.get(column) for column in VERDICT_COLUMNS[3:]]
+        out.write(",".join(_fmt(x) for x in row) + "\n")
+    return out.getvalue()
+
+
+def _render_markdown(payload: dict) -> str:
+    """The markdown summary of a payload, with a "Zero-one scan" section
+    when it carries payload["scan"]."""
+    scenario = payload["scenario"]
+    experiment = scenario["experiment"]
+    budgets, thresholds = experiment["budgets"], experiment["thresholds"]
     lines = [
-        f"# Scenario: {config.name}",
+        f"# Scenario: {scenario['name']}",
         "",
-        f"- kind: {config.kind}",
-        f"- environments: {config.n_envs}, walks per environment: {config.n_walks}, "
-        f"horizon: {config.horizon}",
-        f"- divergence margin: {config.divergence_margin}, "
-        f"return goal: {config.return_goal}",
-        f"- master seed: {config.master_seed}",
+        f"- kind: {experiment['kind']}",
+        f"- environments: {budgets['n_envs']}, walks per environment: {budgets['n_walks']}, "
+        f"horizon: {budgets['horizon']}",
+        f"- divergence margin: {thresholds['divergence_margin']}, "
+        f"return goal: {thresholds['return_goal']}",
+        f"- master seed: {scenario['seeds']['master']}",
         "",
         "## Aggregate labels",
         "",
     ]
-    for label, frac in sorted(result.aggregate.items()):
+    for label, frac in sorted(payload["aggregate"].items()):
         lines.append(f"- {label}: {_fmt(frac)}")
     lines.append("")
 
-    extras = result.extras
+    extras = payload["extras"]
     if "certificate" in extras:
         cert = extras["certificate"]
         direction = cert["direction"]
@@ -180,37 +178,51 @@ def markdown_summary(result: ClassifyResult, scan: ScanResult | None = None) -> 
             f"{hb['probability']} = {_fmt(hb['probability_decimal'])}",
             "",
         ]
-    if result.dp_checked:
+    if payload["dp_checked"]:
         lines += [
             "## DP cross-checks",
             "",
             "| env | label | MC return | DP return | MC right | DP right |",
             "|----:|-------|----------:|----------:|---------:|---------:|",
         ]
-        for v in result.verdicts:
-            ev = v.evidence
+        for v in payload["verdicts"]:
+            ev = v["evidence"]
             lines.append(
-                f"| {v.env_index} | {v.label} | {_fmt(ev.get('return_fraction'))} "
+                f"| {v['env_index']} | {v['label']} | {_fmt(ev.get('return_fraction'))} "
                 f"| {_fmt(ev.get('dp_return_prob'))} | {_fmt(ev.get('right_fraction'))} "
                 f"| {_fmt(ev.get('dp_right_prob'))} |"
             )
         lines.append("")
+    scan = payload.get("scan")
     if scan is not None:
         lines += [
             "## Zero-one scan",
             "",
-            f"- homogeneous: {scan.homogeneous}",
-            f"- majority label: {scan.majority_label}",
-            f"- dissenters: {len(scan.dissenters)}",
+            f"- homogeneous: {scan['homogeneous']}",
+            f"- majority label: {scan['majority_label']}",
+            f"- dissenters: {len(scan['dissenters'])}",
             "",
         ]
-        for d in scan.dissenters:
+        for d in scan["dissenters"]:
             lines.append(
                 f"  - env {d['env_index']} (seed {d['env_seed']}): {d['label']}"
             )
-        if scan.dissenters:
+        if scan["dissenters"]:
             lines.append("")
     return "\n".join(lines)
+
+
+# the one renderer per format, for fresh results and stored payloads alike
+RENDERERS = {"csv": _render_csv, "json": canonical_json, "markdown": _render_markdown}
+_SUFFIXES = {"csv": ".verdicts.csv", "json": ".json", "markdown": ".md"}
+
+
+def verdicts_csv(result: ClassifyResult) -> str:
+    return _render_csv(classify_payload(result))
+
+
+def markdown_summary(result: ClassifyResult, scan: ScanResult | None = None) -> str:
+    return _render_markdown(_payload(result, scan))
 
 
 def write_report(
@@ -220,34 +232,14 @@ def write_report(
     scan: ScanResult | None = None,
 ) -> dict[str, str]:
     """Render the requested formats into out_dir; returns paths by format."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        name = result.config.name
-        paths = {}
-        if "csv" in formats:
-            path = os.path.join(out_dir, f"{name}.verdicts.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(verdicts_csv(result))
-            paths["csv"] = path
-        if "json" in formats:
-            payload = scan_payload(scan) if scan is not None else classify_payload(result)
-            path = os.path.join(out_dir, f"{name}.json")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(canonical_json(payload))
-            paths["json"] = path
-        if "markdown" in formats:
-            path = os.path.join(out_dir, f"{name}.md")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(markdown_summary(result, scan))
-            paths["markdown"] = path
-        return paths
-    except OSError as err:
-        raise IoFailureError(f"cannot write report into {out_dir}: {err}") from err
+    make_dirs(out_dir)
+    payload = _payload(result, scan)
+    paths = {}
+    for fmt in formats:
+        paths[fmt] = os.path.join(out_dir, result.config.name + _SUFFIXES[fmt])
+        write_text(paths[fmt], RENDERERS[fmt](payload))
+    return paths
 
 
 def write_ensemble_csv(report: EnsembleReport, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(ensemble_csv(report))
-    except OSError as err:
-        raise IoFailureError(f"cannot write {path}: {err}") from err
+    write_text(path, ensemble_csv(report))

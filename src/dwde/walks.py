@@ -492,26 +492,16 @@ def run_ensemble(
             per_env.append(EnvSummary(e, envs[e].env_seed, res))
     elif mode == EXACT:
         for e, env in enumerate(envs):
-            finals = np.empty(n_walks, dtype=np.int64)
-            mins = np.empty(n_walks, dtype=np.int64)
-            maxs = np.empty(n_walks, dtype=np.int64)
-            frts = np.empty(n_walks, dtype=np.int64)
+            rows = []  # (final, min, max, first return or -1) per walk
             for w in range(n_walks):
                 x = uniform_rational_start(m, n_steps, master_seed, e, w)
-                traj = simulate(
-                    m,
-                    env,
-                    WalkState(x, start_site),
-                    n_steps,
-                    mode=EXACT,
+                traj = simulate(m, env, WalkState(x, start_site), n_steps, mode=EXACT)
+                frt = traj.first_return_time
+                rows.append(
+                    (traj.final_site, traj.min_site, traj.max_site, -1 if frt is None else frt)
                 )
-                finals[w] = traj.final_site
-                mins[w] = traj.min_site
-                maxs[w] = traj.max_site
-                frts[w] = -1 if traj.first_return_time is None else traj.first_return_time
-            per_env.append(
-                EnvSummary(e, env.env_seed, BatchResult(finals, mins, maxs, frts))
-            )
+            columns = np.array(rows, dtype=np.int64).reshape(n_walks, 4).T
+            per_env.append(EnvSummary(e, env.env_seed, BatchResult(*columns)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return EnsembleReport(

@@ -5,11 +5,12 @@ import json
 import pytest
 
 from dwde.cli import main
-from dwde.config import canonical_json, load_env_block, scenario_to_dict
+from dwde.config import canonical_json, load_env_block, load_map, scenario_to_dict
 from dwde.environments import realize
 from dwde.exact import build_site_chain, hit_before, return_prob_by_time
 from dwde.interval_maps import map_from_spec
 from dwde.presets import get_preset
+from dwde.walks import WalkState, env_seed_for, simulate, uniform_rational_start
 
 
 @pytest.fixture
@@ -103,6 +104,34 @@ class TestSimulateEnsemble:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_ensemble_exact_mode_matches_simulate(self, spec_files, tmp_path):
+        map_path, _ = spec_files
+        env_path = tmp_path / "iid.json"
+        env_path.write_text(
+            json.dumps({"kind": "iid", "support": [[1, 1, -1], [1, -1, -1]]})
+        )
+        out = tmp_path / "exact.csv"
+        code = main(
+            ["ensemble", "--map", map_path, "--env", str(env_path), "--walks", "4",
+             "--envs", "2", "--steps", "30", "--mode", "exact", "--seed", "5",
+             "--out", str(out)]
+        )
+        assert code == 0
+        m = load_map(map_path)
+        model, _ = load_env_block(str(env_path))
+        rows = ["env_index,walk_index,final_site,min_site,max_site,first_return_time"]
+        for e in range(2):
+            env = realize(model, env_seed_for(5, e))
+            for w in range(4):
+                x = uniform_rational_start(m, 30, 5, e, w)
+                traj = simulate(m, env, WalkState(x, 0), 30, mode="exact")
+                frt = traj.first_return_time
+                rows.append(
+                    f"{e},{w},{traj.final_site},{traj.min_site},{traj.max_site},"
+                    f"{'' if frt is None else frt}"
+                )
+        assert out.read_text() == "\n".join(rows) + "\n"
 
 
 class TestExact:
@@ -297,6 +326,42 @@ class TestExperimentCommands:
         rendered = capsys.readouterr().out
         assert json.loads(rendered) == json.loads(results.read_text())
 
+    @pytest.mark.parametrize(
+        "command, preset", [("classify", "right-drift"), ("scan", "symmetric-small")]
+    )
+    def test_report_rerenders_the_written_bytes(self, tmp_path, capsys, command, preset):
+        out = tmp_path / "rep"
+        assert main([command, "--preset", preset, "--out", str(out)]) == 0
+        results = str(out / f"{preset}.json")
+        for fmt, suffix in (("markdown", ".md"), ("csv", ".verdicts.csv")):
+            capsys.readouterr()
+            assert main(["report", "--results", results, "--format", fmt]) == 0
+            written = (out / f"{preset}{suffix}").read_bytes()
+            assert capsys.readouterr().out.encode() == written
+            copy = tmp_path / f"copy{suffix}"
+            assert main(
+                ["report", "--results", results, "--format", fmt, "--out", str(copy)]
+            ) == 0
+            assert copy.read_bytes() == written
+        markdown = (out / f"{preset}.md").read_text()
+        assert ("## Zero-one scan" in markdown) == (command == "scan")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    @pytest.mark.parametrize("text", ['{"verdicts": 3}', "[1, 2]", "{not json"])
+    def test_malformed_results_are_a_config_error(self, tmp_path, capsys, fmt, text):
+        results = tmp_path / "bad.json"
+        results.write_text(text)
+        assert main(["report", "--results", str(results), "--format", fmt]) == 2
+        assert capsys.readouterr().err.startswith("config error: results")
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_results_with_malformed_entries_are_a_config_error(self, tmp_path, fmt):
+        results = tmp_path / "bad.json"
+        results.write_text(
+            json.dumps({"scenario": {}, "aggregate": {}, "verdicts": [{"label": "x"}]})
+        )
+        assert main(["report", "--results", str(results), "--format", fmt]) == 2
+
     def test_consistency_failure_exit_code(self, tmp_path):
         # return goal pinned between the MC estimate and the DP value
         doc = scenario_to_dict(get_preset("symmetric-small"))
@@ -315,3 +380,23 @@ class TestExperimentCommands:
         names = sorted(p.name for p in exp.iterdir())
         assert "triple-r2.json" in names
         assert main(["presets", "--show", "split-demo"]) == 0
+
+    def test_unknown_preset_is_named_once(self, capsys):
+        assert main(["presets", "--show", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown preset 'nope'; available: ")
+        assert err.count("nope") == 1
+
+
+class TestUnwritableOutputs:
+    def test_out_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = main(["exact", "paths", "--n-max", "2", "--k-max", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot write")
+
+    def test_export_onto_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "a-file"
+        target.write_text("")
+        assert main(["presets", "--export", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write")

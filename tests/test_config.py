@@ -99,6 +99,15 @@ class TestRoundTrip:
             assert again.map == config.map
             assert again.environment == config.environment
 
+    def test_with_seed_keeps_every_other_field(self):
+        for name in PRESETS:
+            config = get_preset(name)
+            doc = scenario_to_dict(config.with_seed(12345))
+            assert doc.pop("seeds") == {"master": 12345}
+            expected = scenario_to_dict(config)
+            del expected["seeds"]
+            assert doc == expected
+
     def test_file_round_trip(self, tmp_path):
         config = get_preset("split-demo")
         path = tmp_path / "split.json"

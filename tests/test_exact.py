@@ -219,16 +219,26 @@ def dense_hitting(chain, a: int, b: int) -> dict[int, Fraction]:
     }
 
 
-def brute_force_passage_count(n: int, k: int) -> int:
-    """Exhaustive +/-1 enumeration for first-passage path counts."""
-    length = 2 * n + k
-    steps = ((np.arange(2**length)[:, None] >> np.arange(length)[None, :]) & 1) * 2 - 1
-    pos = np.cumsum(steps.astype(np.int16), axis=1)
-    interior = pos[:, :-1]
-    ok = pos[:, -1] == -k
-    if interior.shape[1]:
-        ok &= np.all((interior < 0) & (interior > -k), axis=1)
-    return int(ok.sum())
+def brute_force_passage_counts(length: int) -> dict[int, int]:
+    """Exhaustive +/-1 enumeration of the paths of one length, counted by
+    k of the length's parity: the paths that end at -k and stay strictly
+    inside (-k, 0) before (the first-passage count of n = (length - k) / 2).
+    """
+    bits = np.arange(2**length, dtype=np.int32)
+    pos = np.zeros(2**length, dtype=np.int8)
+    # the interior's running min and max, started where they cut nothing
+    bottom = np.zeros(2**length, dtype=np.int8)
+    top = np.full(2**length, -1, dtype=np.int8)
+    for i in range(length):
+        pos += (((bits >> i) & 1) * 2 - 1).astype(np.int8)
+        if i < length - 1:
+            np.minimum(bottom, pos, out=bottom)
+            np.maximum(top, pos, out=top)
+    below_zero = top < 0
+    return {
+        k: int(np.count_nonzero(below_zero & (pos == -k) & (bottom > -k)))
+        for k in range(2 - length % 2, length + 1, 2)
+    }
 
 
 def gamblers_ruin_up(p: Fraction, start: int, a: int, b: int) -> Fraction:
@@ -634,10 +644,19 @@ class TestPathCounts:
     def test_brute_force_all_small(self):
         n_max, k_max = 9, 12
         c = path_counts(n_max, k_max)
-        for n in range(n_max + 1):
-            for k in range(1, k_max + 1):
-                if 2 * n + k <= 20:
-                    assert c[n][k] == brute_force_passage_count(n, k), (n, k)
+        checked = set()
+        for length in range(1, 21):
+            for k, count in brute_force_passage_counts(length).items():
+                n = (length - k) // 2
+                if n <= n_max and k <= k_max:
+                    assert c[n][k] == count, (n, k)
+                    checked.add((n, k))
+        assert checked == {
+            (n, k)
+            for n in range(n_max + 1)
+            for k in range(1, k_max + 1)
+            if 2 * n + k <= 20
+        }
 
     def test_k2_corridor_forces_immediate_descent(self):
         # the only interior site is -1, so any detour exits the corridor
