@@ -86,6 +86,14 @@ def _scenario_from_args(args):
     return config
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_map_env_flags(p, env_seed=True):
     p.add_argument("--map", required=True, help="map spec JSON file")
     p.add_argument("--env", required=True, help="environment spec JSON file")
@@ -108,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one walk and print its summary")
     _add_map_env_flags(p)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_positive_int, default=1000)
     p.add_argument("--mode", choices=("symbolic", "exact"), default="symbolic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start-site", type=int, default=0)
@@ -116,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="seeded multi-environment ensemble CSV")
     _add_map_env_flags(p, env_seed=False)
-    p.add_argument("--walks", type=int, default=1000)
-    p.add_argument("--envs", type=int, default=1)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--walks", type=_positive_int, default=1000)
+    p.add_argument("--envs", type=_positive_int, default=1)
+    p.add_argument("--steps", type=_positive_int, default=1000)
     p.add_argument("--mode", choices=("symbolic", "exact"), default="symbolic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")

@@ -17,8 +17,11 @@ symbols, or for Markov symbols one pick per cell and a select pass
 that follows each walk's chain (prf.markov_path for a scalar walk,
 prf.markov_paths across a batch), on threshold rows the map builds once
 (MarkovIntervalMap.symbol_rows).  A batch then steps every walk by one
-gather per step (_BatchEngine).  Exact and scalar symbolic walks look
-up each visited site's jumps once per call.
+gather per step (_BatchEngine).  A caller may drop walks between blocks
+(_BatchEngine.keep), and each block spans as many steps as fit the live
+walks, so taboo_hit steps only the walks it has not decided yet.  Exact
+and scalar symbolic walks look up each visited site's jumps once per
+call.
 """
 
 from __future__ import annotations
@@ -210,7 +213,12 @@ class _BatchEngine:
     over a (steps x walks) array, with max(1, BLOCK_ELEMENTS // walks)
     steps per block and no block past the horizon, then one pick for a
     full-branch map or, for a Markov-branch map, the symbol chain's
-    candidates and one gather per step (prf.markov_paths).  Walk w of
+    candidates and one gather per step (prf.markov_paths).  keep() drops
+    walks between blocks, with their streams, origins and symbol chain
+    states, and later blocks span more steps of the fewer live walks, in
+    views of the buffers allocated for the first block.  A walk's
+    symbols are keyed on (stream, step), so they do not depend on where
+    the blocks begin.  Walk w of
     environment e draws its i.i.d. symbols from the stream keyed on
     walk_seed = hash_u64(master_seed, DOMAIN_WALK, e, w), and its Markov
     symbols from hash_u64(walk_seed, DOMAIN_WALK), as a scalar walk
@@ -251,29 +259,48 @@ class _BatchEngine:
         if self.rows is not None:
             self.streams = prf.hash_u64_seeds(self.streams, prf.DOMAIN_WALK)
             self.state = np.full(len(self.pos), k, dtype=np.int64)  # the start row
-        self.block = max(1, BLOCK_ELEMENTS // len(self.pos))
+
+    def keep(self, idx: np.ndarray) -> None:
+        """Keep only the walks at indices idx, in that order; the next
+        block steps only them."""
+        self.pos = self.pos[idx]
+        self.streams = self.streams[idx]
+        self.origin = self.origin[idx]
+        if self.rows is not None:
+            self.state = self.state[idx]
 
     def blocks(self, n_steps: int):
-        """Advance every walk n_steps steps, one symbol block at a time.
+        """Advance the live walks n_steps steps, one symbol block at a time.
 
-        Yields (t, path) per block: path[r] holds every walk's position
-        after step t + r.  The array is overwritten by the next block.
+        Yields (t, path) per block: path[r] holds every live walk's
+        position after step t + r.  The array is overwritten by the next
+        block.  The caller may drop walks with keep() between blocks.  A
+        block spans max(1, BLOCK_ELEMENTS // live) steps of the live
+        walks, but no more than fit the first block's elements and none
+        past the horizon; the blocks end early once no walk is live.
         """
-        steps = min(self.block, n_steps)
-        shape = (steps, len(self.pos))
-        u = np.empty(shape, dtype=np.uint64)
+        walks = len(self.pos)
+        # the first block's elements; no later block holds more
+        size = min(n_steps, max(1, BLOCK_ELEMENTS // walks)) * walks
+        u_buf = np.empty(size, dtype=np.uint64)
         # the narrowest dtype holding a symbol: less memory per step
-        symbols = np.empty(shape, dtype=np.min_scalar_type(self.k - 1))
-        path = np.empty(shape, dtype=np.int64)
-        idx = np.empty(len(self.pos), dtype=np.int64)
-        for t in range(1, n_steps + 1, steps):
-            n = min(steps, n_steps + 1 - t)
+        symbols_buf = np.empty(size, dtype=np.min_scalar_type(self.k - 1))
+        path_buf = np.empty(size, dtype=np.int64)
+        idx_buf = np.empty(walks, dtype=np.int64)
+        t = 1
+        while t <= n_steps and len(self.pos):
+            live = len(self.pos)
+            n = min(max(1, BLOCK_ELEMENTS // live), size // live, n_steps + 1 - t)
+            u = u_buf[: n * live].reshape(n, live)
+            symbols = symbols_buf[: n * live].reshape(n, live)
+            path = path_buf[: n * live].reshape(n, live)
+            idx = idx_buf[:live]
             counters = np.arange(t, t + n, dtype=np.int64)[:, None]
-            prf.absorb_array(self.streams, counters, out=u[:n])
+            prf.absorb_array(self.streams, counters, out=u)
             if self.rows is None:
-                prf.pick_array(self.thresholds, u[:n], out=symbols[:n])
+                prf.pick_array(self.thresholds, u, out=symbols)
             else:
-                prf.markov_paths(u[:n], self.rows, self.state, out=symbols[:n])
+                prf.markov_paths(u, self.rows, self.state, out=symbols)
                 self.state = symbols[n - 1]
             prev = self.pos
             for r in range(n):
@@ -283,11 +310,20 @@ class _BatchEngine:
                 np.take(self.table, idx, out=path[r], mode="clip")
                 prev = path[r]
             self.pos = prev
-            yield t, path[:n]
+            yield t, path
+            t += n
 
     def sites(self, pos: np.ndarray | None = None) -> np.ndarray:
         """Sites of the given positions (default: the current ones)."""
         return ((self.pos if pos is None else pos) - self.origin) // self.k
+
+
+def _require_walks(n_walks: int, n_envs: int = 1) -> None:
+    """Reject an empty batch before any work."""
+    if n_envs < 1:
+        raise ValueError(f"need at least one environment, got n_envs={n_envs}")
+    if n_walks < 1:
+        raise ValueError(f"need at least one walk, got n_walks={n_walks}")
 
 
 def _require_budget(total_steps: int, budget: int) -> None:
@@ -315,6 +351,7 @@ def simulate_batch(
     if n_steps < 1:
         raise HorizonZeroError("need at least one step")
     n_envs = len(envs)
+    _require_walks(n_walks, n_envs)
     _require_budget(n_envs * n_walks * n_steps, budget)
     jump_bound = envs[0].model.jump_bound
     lo = start_site - n_steps * jump_bound
@@ -374,6 +411,8 @@ class TabooQuery:
     def __post_init__(self):
         if self.horizon < 1:
             raise HorizonZeroError("taboo query horizon must be >= 1")
+        if self.taboo_block == self.target_block:
+            raise ValueError("the taboo block must differ from the target block")
 
 
 @dataclass(frozen=True)
@@ -396,6 +435,7 @@ def taboo_hit(
     Starts are uniform over the block's sites with Lebesgue-uniform base
     points (the block's natural normalized measure).
     """
+    _require_walks(n_walks)
     _require_budget(n_walks * query.horizon, budget)
     bound = env.model.jump_bound
     n = n_walks
@@ -412,21 +452,25 @@ def taboo_hit(
     hi = int(starts.max()) + reach
     eng = _BatchEngine(m, [env], n, walk_seed, starts, lo, hi)
 
-    outcome = np.zeros(n, dtype=np.int8)  # 0 undecided, 1 success, 2 failed
+    # one environment, so every walk's origin is -lo * k and the sites
+    # of a block are the positions [(j*bound - lo) * k, + bound * k)
+    width = bound * eng.k
+    target = (query.target_block * bound - lo) * eng.k
+    taboo = None if query.taboo_block is None else (query.taboo_block * bound - lo) * eng.k
+    successes = 0
     for _, path in eng.blocks(query.horizon):
-        blocks = np.floor_divide(eng.sites(path), bound)
-        in_target = blocks == query.target_block
-        if query.taboo_block is None:
+        in_target = (path >= target) & (path < target + width)
+        if taboo is None:
             entered = in_target
         else:
-            entered = in_target | (blocks == query.taboo_block)
-        decide = np.flatnonzero(entered.any(axis=0) & (outcome == 0))
+            entered = in_target | ((path >= taboo) & (path < taboo + width))
+        hit = entered.any(axis=0)
+        decide = np.flatnonzero(hit)
         if len(decide):
             first = entered[:, decide].argmax(axis=0)
-            outcome[decide] = np.where(in_target[first, decide], 1, 2)
-        if not (outcome == 0).any():
-            break
-    successes = int((outcome == 1).sum())
+            successes += int(np.count_nonzero(in_target[first, decide]))
+            # step only the walks still undecided from here on
+            eng.keep(np.flatnonzero(~hit))
     return TabooResult(
         fraction=successes / n, successes=successes, n_walks=n
     )
@@ -481,6 +525,7 @@ def run_ensemble(
     """Seeded multi-environment ensemble with deterministic summaries."""
     if n_steps < 1:
         raise HorizonZeroError("need at least one step")
+    _require_walks(n_walks, n_envs)
     _require_budget(n_envs * n_walks * n_steps, budget)
     envs = [realize(model, env_seed_for(master_seed, e)) for e in range(n_envs)]
     per_env: list[EnvSummary] = []

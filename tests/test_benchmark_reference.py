@@ -16,7 +16,7 @@ if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
 from dwdebench.runner import LoopResult, load_reference, reference_key, run_request  # noqa: E402
-from dwdebench.workloads import Workload  # noqa: E402
+from dwdebench.workloads import ORACLE_MIX, Workload, oracle_request  # noqa: E402
 
 # (workload, seed, request indices): the first three requests of both
 # scan workloads, and two rounds of the fourteen oracle families on two
@@ -28,6 +28,17 @@ REPLAYS = [
     ("dp-certify", 1, range(3)),
     ("oracle-mix", 0, range(28)),
     ("oracle-mix", 1, range(28)),
+]
+
+
+# every taboo_hit request recorded for oracle-mix (seeds 0-20, requests
+# 0-27): the Monte Carlo family whose walks the batch engine drops once
+# they are decided, so a bit-identity break there shows per seed
+TABOO_REPLAYS = [
+    (seed, k)
+    for seed in range(21)
+    for k in range(28)
+    if oracle_request(seed, k).family == "taboo_hit"
 ]
 
 
@@ -44,4 +55,13 @@ def test_requests_match_reference(reference, name, seed, requests):
         assert reference_key(name, seed, k) in reference
         run_request(workload, k, reference, loop, timed=False)
     assert loop.attempted == len(requests)
+    assert loop.failed == 0, loop.failures
+
+
+@pytest.mark.parametrize("seed, k", TABOO_REPLAYS)
+def test_taboo_requests_match_reference(reference, seed, k):
+    assert reference_key(ORACLE_MIX, seed, k) in reference
+    loop = LoopResult()
+    run_request(Workload(ORACLE_MIX, seed), k, reference, loop, timed=False)
+    assert loop.attempted == 1
     assert loop.failed == 0, loop.failures

@@ -93,6 +93,17 @@ class TestSimulateEnsemble:
         assert lines[0] == "env_index,walk_index,final_site,min_site,max_site,first_return_time"
         assert len(lines) == 1 + 2 * 5
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("ensemble", "--walks"), ("ensemble", "--envs"), ("ensemble", "--steps"),
+         ("simulate", "--steps")],
+    )
+    def test_empty_count_is_usage_error(self, spec_files, capsys, command, flag):
+        map_path, env_path = spec_files
+        assert main([command, "--map", map_path, "--env", env_path, flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"{flag}: must be a positive integer" in err
+
     def test_ensemble_deterministic_bytes(self, spec_files, tmp_path):
         map_path, env_path = spec_files
         outs = []

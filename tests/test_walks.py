@@ -27,6 +27,21 @@ from dwde.walks import (
 F = Fraction
 
 
+@pytest.fixture
+def block_lengths(monkeypatch):
+    """The length of every block the batch engine yields, in order."""
+    lengths = []
+    blocks = walks_module._BatchEngine.blocks
+
+    def recording(self, n_steps):
+        for t, path in blocks(self, n_steps):
+            lengths.append(len(path))
+            yield t, path
+
+    monkeypatch.setattr(walks_module._BatchEngine, "blocks", recording)
+    return lengths
+
+
 class TestStep:
     def test_single_step(self):
         m = doubling_map()
@@ -281,6 +296,14 @@ class TestBatch:
         with pytest.raises(BudgetExceededError):
             simulate_batch(m, [env], 10**6, 10**6, 0)
 
+    def test_empty_batch(self):
+        m = doubling_map()
+        env = realize(fixed_model(fn(1, -1)), 0)
+        with pytest.raises(ValueError, match="n_walks=0"):
+            simulate_batch(m, [env], 0, 10, 0)
+        with pytest.raises(ValueError, match="n_envs=0"):
+            simulate_batch(m, [], 10, 10, 0)
+
     def test_min_max_consistency(self):
         m = doubling_map()
         env = realize(fixed_model(fn(1, -1)), 0)
@@ -326,7 +349,9 @@ class TestBatchBitIdentity:
                 monkeypatch.setattr(walks_module, "BLOCK_ELEMENTS", elements)
             env = realize(self.model, 0)
             starts = np.zeros(walks, dtype=np.int64)
-            return walks_module._BatchEngine(self.m, [env], walks, 0, starts, -2, 2).block
+            eng = walks_module._BatchEngine(self.m, [env], walks, 0, starts, -2, 2)
+            _, path = next(eng.blocks(1000))
+            return len(path)
 
         return block_of
 
@@ -392,6 +417,34 @@ class TestBatchBitIdentity:
     def test_taboo_hit_one_step_per_block(self, block_of):
         assert block_of(299, 300) == 1
         self.check_taboo(2, -2, 40)
+
+    def test_taboo_hit_drops_decided_walks(self, monkeypatch, block_lengths):
+        # one step per block at 300 walks; the blocks grow as decided
+        # walks leave the batch
+        monkeypatch.setattr(walks_module, "BLOCK_ELEMENTS", 300)
+        self.check_taboo(2, -2, 40)
+        assert block_lengths[0] == 1 < max(block_lengths)
+        # only the horizon may cut the last block short
+        assert block_lengths[:-1] == sorted(block_lengths[:-1])
+
+    def test_taboo_hit_steps_only_undecided_walks(self, monkeypatch):
+        monkeypatch.setattr(walks_module, "BLOCK_ELEMENTS", 1)
+        drawn = []
+        absorb = prf.absorb_array
+
+        def counting(h, k, out=None):
+            z = absorb(h, k, out=out)
+            if z.ndim == 2:  # a block's (steps x walks) symbol draws
+                drawn.append(z.size)
+            return z
+
+        monkeypatch.setattr(prf, "absorb_array", counting)
+        horizon = 10
+        decided = self.check_taboo(2, -2, horizon)
+        # walk w draws the symbols of steps 1..d_w: d_w is the step that
+        # decides it, or the horizon if none does
+        assert 0 < len(decided) < 300 and min(decided) < horizon
+        assert sum(drawn) == sum(decided) + (300 - len(decided)) * horizon
 
     @pytest.mark.parametrize("elements, block", [(None, 109), (300 * 4, 4)])
     def test_taboo_hit_decided_inside_a_block(self, block_of, elements, block):
@@ -502,6 +555,17 @@ class TestMarkovBranchBitIdentity:
             assert (frts >= 0).any() and (frts < 0).any()
 
     def test_taboo_hit_matches_per_walk_loop(self, block):
+        self.check_taboo()
+
+    def test_taboo_hit_drops_decided_walks(self, monkeypatch, block_lengths):
+        # one step per block at 200 walks: each walk's symbol chain state
+        # is kept with it as decided walks leave the batch
+        monkeypatch.setattr(walks_module, "BLOCK_ELEMENTS", 200)
+        self.check_taboo()
+        assert block_lengths[0] == 1 < max(block_lengths)
+        assert block_lengths[:-1] == sorted(block_lengths[:-1])
+
+    def check_taboo(self):
         env = realize(self.model, 12)
         q = TabooQuery(start_block=0, target_block=2, taboo_block=-2, horizon=40)
         n_walks, seed = 200, 77
@@ -518,6 +582,17 @@ class TestMarkovBranchBitIdentity:
 
 
 class TestTaboo:
+    def test_empty_batch(self):
+        m = doubling_map()
+        env = realize(fixed_model(fn(1, -1)), 0)
+        q = TabooQuery(start_block=0, target_block=1, taboo_block=-1, horizon=10)
+        with pytest.raises(ValueError, match="n_walks=0"):
+            taboo_hit(m, env, q, n_walks=0)
+
+    def test_taboo_block_must_differ_from_target(self):
+        with pytest.raises(ValueError, match="taboo block"):
+            TabooQuery(start_block=0, target_block=2, taboo_block=2, horizon=10)
+
     def test_first_step_decides(self):
         # target and taboo adjacent to start: first step is the first entry
         m = triple_map()
@@ -582,6 +657,15 @@ class TestEnsemble:
         assert len(report.per_env) == 2
         for s in report.per_env:
             assert np.abs(s.result.final_sites).max() <= 100
+
+    @pytest.mark.parametrize("mode", ["symbolic", "exact"])
+    def test_empty_ensemble(self, mode):
+        m = doubling_map()
+        model = fixed_model(fn(1, 1))
+        with pytest.raises(ValueError, match="n_walks=0"):
+            run_ensemble(m, model, 1, 0, 10, mode=mode)
+        with pytest.raises(ValueError, match="n_envs=0"):
+            run_ensemble(m, model, 0, 10, 10, mode=mode)
 
     def test_env_seed_derivation_stable(self):
         assert env_seed_for(1, 0) != env_seed_for(1, 1)
