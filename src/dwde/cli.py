@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 internal failure or an output file that
-cannot be written, 2 configuration error (an unreadable or malformed
-input or results file included), 3 verdict-consistency failure (Monte
-Carlo label contradicting the DP label, or a dissenting environment in
-a zero-one scan).
+cannot be written, 2 usage or configuration error (an out-of-range
+argument, an unreadable or malformed input or results file included),
+3 verdict-consistency failure (Monte Carlo label contradicting the DP
+label, or a dissenting environment in a zero-one scan).
 """
 
 from __future__ import annotations
@@ -86,11 +86,33 @@ def _scenario_from_args(args):
     return config
 
 
+class UsageError(Exception):
+    """A check across arguments failed; reported like argparse's own
+    usage errors (exit code 2), against the usage of the subparser that
+    a subcommand raising it sets as its `parser` default."""
+
+
 def _positive_int(text: str) -> int:
     """argparse type for a count that must be at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for a count that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _open_unit_fraction(text: str) -> Fraction:
+    """argparse type for an exact rational strictly inside (0, 1)."""
+    value = as_fraction(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly inside (0, 1), got {text}")
     return value
 
 
@@ -136,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = ex.add_parser("return", help="exact return probability by a horizon")
     _add_map_env_flags(q)
-    q.add_argument("--steps", type=int, required=True)
+    q.add_argument("--steps", type=_positive_int, required=True)
     q.add_argument("--start", type=int, default=0)
     q.add_argument("--out", default=None)
 
@@ -146,10 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--down", type=int, required=True)
     q.add_argument("--up", type=int, required=True)
     q.add_argument("--out", default=None)
+    q.set_defaults(parser=q)
 
     q = ex.add_parser("paths", help="first-passage path-count table")
-    q.add_argument("--n-max", type=int, required=True)
-    q.add_argument("--k-max", type=int, required=True)
+    q.add_argument("--n-max", type=_nonnegative_int, required=True)
+    q.add_argument("--k-max", type=_positive_int, required=True)
     q.add_argument("--out", default=None)
 
     q = ex.add_parser("certificate", help="expansion-rate transience certificate")
@@ -160,9 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = ex.add_parser("series", help="weighted return-series diagnostic")
     _add_map_env_flags(q)
     q.add_argument("--cell", type=int, default=0)
-    q.add_argument("--theta", default="1/2")
-    q.add_argument("--lags", type=int, default=100)
+    q.add_argument("--theta", type=_open_unit_fraction, default="1/2")
+    q.add_argument("--lags", type=_nonnegative_int, default=100)
     q.add_argument("--out", default=None)
+    q.set_defaults(parser=q)
 
     q = ex.add_parser("solomon", help="sign of the mean log-odds")
     q.add_argument(
@@ -273,6 +297,8 @@ def _cmd_exact(args) -> int:
         )
         return 0
     if args.exact_command == "hit":
+        if not args.down < args.start < args.up:
+            raise UsageError("need --down < --start < --up")
         m, env = _load_map_env(args)
         window = max(abs(args.down), abs(args.up)) + 1
         chain = build_site_chain(m, env, window, joint=not m.full_branch)
@@ -305,6 +331,8 @@ def _cmd_exact(args) -> int:
         return 0
     if args.exact_command == "series":
         m, env = _load_map_env(args)
+        if not 0 <= args.cell < m.num_cells:
+            raise UsageError(f"--cell must be within 0..{m.num_cells - 1} for this map")
         diag = series_diagnostic(m, env, args.cell, args.theta, args.lags)
         ratios = [
             {"lag": lag, "ratio": str(r), "decimal": float(r)}
@@ -455,6 +483,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exit_err.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except UsageError as err:
+        args.parser.print_usage(sys.stderr)
+        sys.stderr.write(f"{args.parser.prog}: error: {err}\n")
+        return 2
     except ConsistencyError as err:
         sys.stderr.write(f"verdict consistency failure: {err}\n")
         return 3

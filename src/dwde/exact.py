@@ -13,14 +13,17 @@ The exact inner loops run on Python ints: return_prob_by_time,
 first_passage_measure and series_diagnostic carry integer numerators
 over one common denominator per step, hit_before is one banded
 fraction-free elimination (elimination.solve), and each builds one
-Fraction per returned value.  The +/-1 sweeps (path_counts,
-series_diagnostic) hold only the sites of the step's parity, as lists
-advanced by elementwise adds.  The float fast paths all run on one light-cone float
-DP kernel (_float_dp) that advances a stack of solves together:
-return_prob_curve and final_distribution are single-chain wrappers (a
-stack of one), and float_dp_stack gives the curves and final laws of
-many chains at once; each reads a chain's float jump table as one
-gather from its per-class float rows (_float_jump_arrays).
+Fraction per returned value.  The +/-1 sweeps (first_passage_measure's
+comparison column, series_diagnostic) hold only the sites of the step's
+parity, as lists advanced by elementwise adds; path_counts reads its
+whole table off one binomial-difference row by the method of images,
+and return_cylinder_count is a closed form.  The float fast paths all
+run on one light-cone float DP kernel (_float_dp) that advances a stack
+of solves together: return_prob_curve and final_distribution are
+single-chain wrappers (a stack of one), and float_dp_stack gives the
+curves and final laws of many chains at once; each reads a chain's
+float jump table as one gather from its per-class float rows
+(_float_jump_arrays).
 """
 
 from __future__ import annotations
@@ -467,19 +470,36 @@ def path_counts(n_max: int, k_max: int) -> list[list[int]]:
     """c[n][k]: +/-1 paths from 0 of length 2n+k first hitting -k at the
     final step while staying strictly inside (-k, 0) in between.
 
-    Exact integers; column k=0 is identically zero padding.
+    Exact integers; column k=0 is identically zero padding.  Columns
+    k = 1 and 2 are the straight descent.  For k >= 3 a path is the
+    forced step to -1, then L = 2n + k - 2 steps inside -(k-1)..-1
+    ending at -(k-1), then the step to -k; by the method of images the
+    middle part counts sum_{i = n (mod k)} d_L[i] with d_L[i] =
+    C(L, i) - C(L, i - 1).  One row d_L, i = 0..L+1, is advanced by
+    Pascal's rule (linear, so the differences obey it too), and each
+    cell with 2n + k - 2 = L is one strided slice sum of it.
     """
     if n_max < 0 or k_max < 1:
         raise ValueError("need n_max >= 0 and k_max >= 1")
     table = [[0] * (k_max + 1) for _ in range(n_max + 1)]
-    for k in range(1, k_max + 1):
-        for n, c in enumerate(_passage_column(n_max, k)):
-            table[n][k] = c
+    for k in range(1, min(k_max, 2) + 1):
+        table[0][k] = 1
+    if k_max < 3:
+        return table
+    d = [1, -1]  # d_0
+    for length in range(1, 2 * n_max + k_max - 1):
+        d = [1, *map(add, d, d[1:]), d[-1]]
+        # the cells (n, k) with 2n + k - 2 = length and 3 <= k <= k_max
+        lo, hi = max(0, (length + 3 - k_max) // 2), min(n_max, (length - 1) // 2)
+        for n in range(lo, hi + 1):
+            k = length + 2 - 2 * n
+            table[n][k] = sum(d[n % k :: k])
     return table
 
 
 def _passage_column(n_max: int, k: int) -> list[int]:
-    """Column k of path_counts: c[n][k] for n = 0..n_max."""
+    """Column k of path_counts, c[n][k] for n = 0..n_max, by a corridor
+    sweep: cheaper than path_counts' rows when one column is wanted."""
     column = [0] * (n_max + 1)
     if k <= 2:  # the straight descent; at k = 2 a path at -1 can only leave
         column[0] = 1
@@ -607,9 +627,13 @@ def return_cylinder_count(
     the induced site path returning to 0, for the canonical homogeneous
     environment jumping +1 on the first r cells.
 
-    Returns the exact enumerated count next to the combinatorial value
-    r^n (#cells - r)^n C(2n, n); enumeration <= that value always,
-    since the first symbol (hence first step) is pinned by the cell.
+    Returns the exact count ("enumerated") next to the combinatorial
+    value r^n (#cells - r)^n C(2n, n).  The cell pins the first step and
+    the final symbol; the other 2n - 1 steps take n - 1 more of the
+    pinned step's kind and n of the other, so the count is
+    C(2n - 1, n - 1) a^(n - 1) b^n, with a the number of cells jumping
+    like the pinned step and b the rest.  It is <= the combinatorial
+    value always.
     """
     k_cells = m.num_cells
     if not m.full_branch:
@@ -620,18 +644,16 @@ def return_cylinder_count(
         raise ValueError("cell out of range")
     if n > cap:
         raise EnumerationTooLargeError(f"n = {n} exceeds cap {cap}")
-    combinatorial_bound = r**n * (k_cells - r) ** n * comb(2 * n, n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return {"enumerated": 1, "combinatorial_bound": 1}
     up, down = r, k_cells - r
-    # ways[i] counts the paths at site -t + 2i after t steps, the first
-    # pinned to +1 or -1 by the cell; a step reaches new entry i by +1
-    # from entry i - 1 and by -1 from entry i
-    ways = [0, 1] if cell < r else [1, 0]
-    for _ in range(2 * n - 1):
-        ways = [x * up + y * down for x, y in zip([0] + ways, ways + [0])]
-    enumerated = ways[n]  # final symbol pinned to `cell`: one choice
-    return {"enumerated": enumerated, "combinatorial_bound": combinatorial_bound}
+    same, other = (up, down) if cell < r else (down, up)
+    return {
+        "enumerated": comb(2 * n - 1, n - 1) * same ** (n - 1) * other**n,
+        "combinatorial_bound": up**n * down**n * comb(2 * n, n),
+    }
 
 
 @dataclass(frozen=True)
@@ -733,6 +755,8 @@ def series_diagnostic(
         raise ValueError("theta must be in (0, 1)")
     if not 0 <= cell < m.num_cells:
         raise ValueError("cell out of range")
+    if lag_max < 0:
+        raise ValueError(f"lag_max must be >= 0, got {lag_max}")
     n_cells = m.num_cells
     rows = m.symbol_law
     den = lcm(*(p.denominator for row in rows for _, p in row))

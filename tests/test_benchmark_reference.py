@@ -31,14 +31,27 @@ REPLAYS = [
 ]
 
 
-# every taboo_hit request recorded for oracle-mix (seeds 0-20, requests
-# 0-27): the Monte Carlo family whose walks the batch engine drops once
-# they are decided, so a bit-identity break there shows per seed
-TABOO_REPLAYS = [
-    (seed, k)
-    for seed in range(21)
-    for k in range(28)
-    if oracle_request(seed, k).family == "taboo_hit"
+def recorded(family: str) -> list[tuple[int, int]]:
+    """(seed, request) of every oracle-mix request of one family recorded
+    in the reference file (seeds 0-20, requests 0-27)."""
+    return [
+        (seed, k)
+        for seed in range(21)
+        for k in range(28)
+        if oracle_request(seed, k).family == family
+    ]
+
+
+# the Monte Carlo family whose walks the batch engine drops once they
+# are decided, so a bit-identity break there shows per seed
+TABOO_REPLAYS = recorded("taboo_hit")
+
+# the two +/-1 lattice-path counts computed by closed forms, each
+# replayed against its recorded table or count
+PATH_COUNT_REPLAYS = [
+    (family, seed, k)
+    for family in ("path_counts", "return_cylinder_count")
+    for seed, k in recorded(family)
 ]
 
 
@@ -58,10 +71,19 @@ def test_requests_match_reference(reference, name, seed, requests):
     assert loop.failed == 0, loop.failures
 
 
-@pytest.mark.parametrize("seed, k", TABOO_REPLAYS)
-def test_taboo_requests_match_reference(reference, seed, k):
+def replay_oracle_request(reference, seed: int, k: int) -> None:
     assert reference_key(ORACLE_MIX, seed, k) in reference
     loop = LoopResult()
     run_request(Workload(ORACLE_MIX, seed), k, reference, loop, timed=False)
     assert loop.attempted == 1
     assert loop.failed == 0, loop.failures
+
+
+@pytest.mark.parametrize("seed, k", TABOO_REPLAYS)
+def test_taboo_requests_match_reference(reference, seed, k):
+    replay_oracle_request(reference, seed, k)
+
+
+@pytest.mark.parametrize("family, seed, k", PATH_COUNT_REPLAYS)
+def test_path_count_requests_match_reference(reference, family, seed, k):
+    replay_oracle_request(reference, seed, k)

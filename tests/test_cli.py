@@ -199,6 +199,80 @@ class TestExact:
     def test_solomon_bad_pair(self, capsys):
         assert main(["exact", "solomon", "--alpha", "nonsense"]) == 2
 
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            pytest.param(
+                ["paths", "--n-max", "-1", "--k-max", "3"],
+                "--n-max: must be a non-negative integer",
+                id="paths-negative-n-max",
+            ),
+            pytest.param(
+                ["paths", "--n-max", "3", "--k-max", "0"],
+                "--k-max: must be a positive integer",
+                id="paths-zero-k-max",
+            ),
+            pytest.param(
+                ["return", "--steps", "0"],
+                "--steps: must be a positive integer",
+                id="return-zero-steps",
+            ),
+            pytest.param(
+                ["return", "--steps", "-3"],
+                "--steps: must be a positive integer",
+                id="return-negative-steps",
+            ),
+            pytest.param(
+                ["hit", "--start", "5", "--down", "-2", "--up", "3"],
+                "need --down < --start < --up",
+                id="hit-start-outside-targets",
+            ),
+            pytest.param(
+                ["series", "--cell", "9"],
+                "--cell must be within 0..2",
+                id="series-cell-9",
+            ),
+            pytest.param(
+                ["series", "--cell", "-1"],
+                "--cell must be within 0..2",
+                id="series-negative-cell",
+            ),
+            pytest.param(
+                ["series", "--theta", "2"],
+                "--theta: must lie strictly inside (0, 1)",
+                id="series-theta-2",
+            ),
+            pytest.param(
+                ["series", "--theta", "0"],
+                "--theta: must lie strictly inside (0, 1)",
+                id="series-theta-0",
+            ),
+            pytest.param(
+                ["series", "--lags", "-1"],
+                "--lags: must be a non-negative integer",
+                id="series-negative-lags",
+            ),
+        ],
+    )
+    def test_argument_errors_are_usage_errors(self, spec_files, capsys, query, message):
+        map_path, env_path = spec_files
+        files = [] if query[0] == "paths" else ["--map", map_path, "--env", env_path]
+        assert main(["exact", *query, *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: dwde exact {query[0]}")
+        assert f"dwde exact {query[0]}: error: " in captured.err
+        assert message in captured.err and "Traceback" not in captured.err
+
+    def test_series_zero_lags(self, spec_files, capsys):
+        map_path, env_path = spec_files
+        code = main(
+            ["exact", "series", "--map", map_path, "--env", env_path, "--lags", "0"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["partial_sums"]) == 1
+
 
 # cell 0 (slope 2) maps onto cells 0 and 1 only: not full branch
 MARKOV_MAP = {

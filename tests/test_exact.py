@@ -21,6 +21,7 @@ from dwde.environments import (
 )
 from dwde.errors import (
     DegenerateAlphaError,
+    EnumerationTooLargeError,
     HypothesisViolatedError,
     SingularSystemError,
     UnsupportedBaseError,
@@ -28,6 +29,7 @@ from dwde.errors import (
     WindowTooSmallError,
 )
 from dwde.exact import (
+    _passage_column,
     build_site_chain,
     final_distribution,
     first_passage_measure,
@@ -115,6 +117,24 @@ def per_site_path_counts(n_max: int, k_max: int) -> list[list[int]]:
             if (t + 1) in length_needed:
                 table[length_needed[t + 1]][k] = counts[width - 1]
     return table
+
+
+def transfer_cylinder_counts(k_cells: int, r: int, cell: int, n_max: int) -> list[int]:
+    """Reference for return_cylinder_count's "enumerated", n = 0..n_max:
+    the transfer sweep over the site path, the first step pinned by the
+    cell.  ways[i] counts the paths at site -t + 2i after t steps; a step
+    reaches entry i by +1 from entry i - 1 and by -1 from entry i.  After
+    2n steps the paths back at 0 sit at entry n."""
+    up, down = r, k_cells - r
+    counts = [1]
+    ways = [0, 1] if cell < r else [1, 0]
+    steps = 1
+    for n in range(1, n_max + 1):
+        while steps < 2 * n:
+            ways = [x * up + y * down for x, y in zip([0] + ways, ways + [0])]
+            steps += 1
+        counts.append(ways[n])
+    return counts
 
 
 def dict_series_diagnostic(m, env, cell: int, theta, lag_max: int):
@@ -663,10 +683,28 @@ class TestPathCounts:
         c = path_counts(6, 2)
         assert [c[n][2] for n in range(7)] == [1, 0, 0, 0, 0, 0, 0]
 
+    @pytest.mark.parametrize("n_max, k_max", [(-1, 3), (3, 0), (0, -2)])
+    def test_guards(self, n_max, k_max):
+        with pytest.raises(ValueError, match="n_max >= 0 and k_max >= 1"):
+            path_counts(n_max, k_max)
+
+    @pytest.mark.parametrize(
+        "n_max, k_max",
+        [(0, 1), (0, 2), (0, 9), (7, 1), (7, 2), (4, 11), (3, 40), (12, 30), (160, 50)],
+    )
+    def test_table_matches_passage_columns(self, n_max, k_max):
+        # the binomial-difference row against the corridor sweep that
+        # first_passage_measure keeps for its one column
+        table = path_counts(n_max, k_max)
+        assert len(table) == n_max + 1 and all(len(row) == k_max + 1 for row in table)
+        assert all(row[0] == 0 for row in table)
+        for k in range(1, k_max + 1):
+            assert [row[k] for row in table] == _passage_column(n_max, k), k
+
 
 class TestParityListSweepsMatchReferences:
     """path_counts and series_diagnostic against the per-site and
-    per-(cell, site) sweeps they replaced."""
+    per-(cell, site) sweeps, which share no code with them."""
 
     @pytest.mark.parametrize(
         "n_max, k_max", [(0, 1), (3, 2), (6, 3), (9, 4), (14, 9), (25, 16), (60, 40)]
@@ -798,6 +836,32 @@ class TestReturnCylinderCount:
             assert got["enumerated"] == count
 
     @pytest.mark.parametrize("k_cells", [2, 3, 4, 5])
+    def test_matches_transfer_sweep(self, k_cells):
+        m = equal_slope_map(k_cells)
+        for r in range(1, k_cells):
+            for cell in range(k_cells):
+                want = transfer_cylinder_counts(k_cells, r, cell, 220)
+                for n in range(221):
+                    got = return_cylinder_count(m, r, n, cell=cell)
+                    assert got["enumerated"] == want[n], (r, cell, n)
+                    assert got["combinatorial_bound"] == (
+                        r**n * (k_cells - r) ** n * _comb(2 * n, n)
+                    )
+
+    def test_guards(self):
+        m = triple_map()
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            return_cylinder_count(m, 2, -1)
+        with pytest.raises(ValueError, match="cell out of range"):
+            return_cylinder_count(m, 2, 3, cell=3)
+        with pytest.raises(HypothesisViolatedError):
+            return_cylinder_count(m, 3, 3)
+        with pytest.raises(EnumerationTooLargeError):
+            return_cylinder_count(m, 2, 11, cap=10)
+        with pytest.raises(UnsupportedBaseError):
+            return_cylinder_count(NON_FULL_MAP, 1, 3)
+
+    @pytest.mark.parametrize("k_cells", [2, 3, 4, 5])
     def test_closed_form(self, k_cells):
         # after the pinned first jump the other 2n - 1 steps take n - 1
         # more of its kind and n of the other
@@ -915,6 +979,13 @@ class TestSeriesDiagnostic:
         env = realize(fixed_model(fn(1, -1)), 0)
         with pytest.raises(ValueError):
             series_diagnostic(doubling_map(), env, 0, "3/2", 10)
+
+    def test_negative_lag_max(self):
+        env = realize(fixed_model(fn(1, -1)), 0)
+        with pytest.raises(ValueError, match="lag_max must be >= 0"):
+            series_diagnostic(doubling_map(), env, 0, "1/2", -1)
+        diag = series_diagnostic(doubling_map(), env, 0, "1/2", 0)
+        assert len(diag.partial_sums) == 1 and diag.geometric_bound is not None
 
 
 class TestSolomon:
