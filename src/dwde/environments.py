@@ -299,7 +299,7 @@ class EnvironmentRealization:
             got = self._memo.get(i)
             if got is None:
                 u = prf.hash_u64(self.env_seed, prf.DOMAIN_ENV, i)
-                got = prf.pick(self._thresholds(), u)
+                got = prf.pick(self._thresholds()[1], u)
                 self._memo[i] = got
             return got
         return self._memo.index(i)
@@ -311,18 +311,21 @@ class EnvironmentRealization:
         model = self.model
         if model.kind == IID:
             sites = np.arange(base_lo, base_hi + 1, dtype=np.int64)
-            u = prf.hash_u64_array(self.env_seed, prf.DOMAIN_ENV, array=sites)
-            return prf.pick_array(self._thresholds(), u)
+            key = prf.hash_u64(self.env_seed, prf.DOMAIN_ENV)
+            return prf.pick_keyed(self._thresholds()[0], key, sites)
         if model.kind == MARKOV:
             return self._memo.window(base_lo, base_hi)
         return np.array(
             [self._base_index(i) for i in range(base_lo, base_hi + 1)], dtype=np.int64
         )
 
-    def _thresholds(self) -> np.ndarray:
+    def _thresholds(self) -> tuple[np.ndarray, list[int]]:
+        """The i.i.d. law's interior edges as an array, for window draws,
+        and as a list, for scalar ones; built once per realization."""
         t = getattr(self, "_thr", None)
         if t is None:
-            t = prf.choice_thresholds(self.model.weights)
+            edges = prf.choice_thresholds(self.model.weights)
+            t = (edges, edges.tolist())
             object.__setattr__(self, "_thr", t)
         return t
 

@@ -19,11 +19,13 @@ parity, as lists advanced by elementwise adds; path_counts reads its
 whole table off one binomial-difference row by the method of images,
 and return_cylinder_count is a closed form.  The float fast paths all
 run on one light-cone float DP kernel (_float_dp) that advances a stack
-of solves together: return_prob_curve and final_distribution are
-single-chain wrappers (a stack of one), and float_dp_stack gives the
-curves and final laws of many chains at once; each reads a chain's
-float jump table as one gather from its per-class float rows
-(_float_jump_arrays).
+of solves together and resumes from the state it returns:
+return_prob_curve and final_distribution are single-chain wrappers (a
+stack of one), and float_dp_stack gives the curves and final laws of
+many chains at once, running the absorbing and the free pass as one
+merged stack until the absorbing pass's reach cut can bite (step
+n // 2); each reads a chain's float jump table as one gather from its
+per-class float rows (_float_jump_arrays).
 """
 
 from __future__ import annotations
@@ -294,64 +296,77 @@ _TRIM_EVERY = 16
 
 
 def _float_dp(
-    jumps: list[int], probs: np.ndarray, n_steps: int, reach: int, absorb: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The float DP kernel: n steps of a stack of site laws, all started
-    at the centre of the window and advanced together.
+    jumps: list[int],
+    probs: np.ndarray,
+    steps: range,
+    reach: int,
+    returned: np.ndarray | None = None,
+    state: tuple[np.ndarray, int, int] | None = None,
+) -> tuple[np.ndarray, int, int]:
+    """The float DP kernel: steps t in `steps` of a stack of site laws,
+    advanced together.
 
     `probs` is the site-major (jumps x sites x solves) table of the
     probability of each sorted jump value over the window start +/-
     radius, radius = (sites - 1) // 2; a solve lacking a jump value has
     probability 0 there, and adding its +0.0 products changes no bit.
-    Step t updates only the light cone start +/- t*reach, and every
-    _TRIM_EVERY steps the rows at the cone's edges that are zero in
-    every solve are dropped, so only exact zeros are skipped.  With
-    `absorb`, mass landing on `start` is banked into curve[t] and sites
-    that cannot reach `start` in the remaining steps are cut.
-    Returns (curves (steps + 1 x solves), final laws (sites x solves)).
+    `state` = (dist, a, b) holds the stack's mass on window sites a..b,
+    flat and site-major (site a + i of solve s is entry i * solves + s)
+    and zero elsewhere; by default all mass sits on the start (window
+    site radius), before step 1.  A step updates only the sites mass can
+    reach, and at every step t divisible by _TRIM_EVERY the rows at the
+    edges that are zero in every solve are dropped, so only exact zeros
+    are skipped.  With `returned` (a (horizon + 1) x banked array), the
+    first `banked` solves absorb: mass landing on the start at step t is
+    banked into returned[t].  When every solve absorbs, sites that cannot
+    reach the start by the last step of `steps` are cut.  Returns the
+    state after that step, so a later call can resume from it.
     """
     radius = (probs.shape[1] - 1) // 2
     solves = probs.shape[2]
-    # one flat row per jump value: site i of solve s is entry
-    # i * solves + s, so a jump v moves mass by v * solves entries
+    banked = 0 if returned is None else returned.shape[1]
+    # one flat row per jump value: a jump v moves mass by v * solves entries
     flat = probs.reshape(len(jumps), -1)
     shift = reach * solves
     offsets = [shift + v * solves for v in jumps]
-    returned = np.zeros((n_steps + 1, solves))
-    # dist holds the mass on window sites a..b, zero elsewhere; the start
-    # sits at site radius, and the callers' radius keeps the cone inside
-    # the window
-    a = b = radius
-    dist = np.ones(solves)
-    for t in range(1, n_steps + 1):
+    # the callers' radius keeps the cone inside the window
+    dist, a, b = (np.ones(solves), radius, radius) if state is None else state
+    for t in steps:
         size = (b - a + 1) * solves
         new = np.zeros(size + 2 * shift)
         for at, p in zip(offsets, flat[:, a * solves : (b + 1) * solves]):
             new[at : at + size] += dist * p
         a, b = a - reach, b + reach
-        if absorb:
-            left = (n_steps - t) * reach
+        if banked == solves:
+            left = (steps.stop - 1 - t) * reach
             lo, hi = max(a, radius - left), min(b, radius + left)
             new = new[(lo - a) * solves : (hi - a + 1) * solves]
             a, b = lo, hi
+        if banked:
             at = (radius - a) * solves
-            returned[t] = new[at : at + solves]
-            new[at : at + solves] = 0.0
+            returned[t] = new[at : at + banked]
+            new[at : at + banked] = 0.0
         if t % _TRIM_EVERY == 0:
             live = new != 0
             first = int(live.argmax())
             if live[first]:
                 lo = first // solves
                 hi = (live.size - 1 - int(live[::-1].argmax())) // solves
-                if absorb:  # keep the start's row to bank returns into
+                if banked:  # keep the start's row to bank returns into
                     lo, hi = min(lo, radius - a), max(hi, radius - a)
                 new = new[lo * solves : (hi + 1) * solves]
                 a, b = a + lo, a + hi
         dist = new
-    out = np.zeros((2 * radius + 1, solves))
-    out[a : b + 1] = dist.reshape(-1, solves)
-    # the running sum of the banked mass, added in step order
-    return np.cumsum(returned, axis=0), out
+    return dist, a, b
+
+
+def _site_laws(state: tuple[np.ndarray, int, int], sites: int) -> np.ndarray:
+    """The (sites x solves) laws of a kernel state, zero off its rows."""
+    dist, a, b = state
+    rows = dist.reshape(b - a + 1, -1)
+    out = np.zeros((sites, rows.shape[1]))
+    out[a : b + 1] = rows
+    return out
 
 
 def return_prob_curve(chain: SiteChainDP, start: int, n_steps: int) -> np.ndarray:
@@ -366,8 +381,10 @@ def return_prob_curve(chain: SiteChainDP, start: int, n_steps: int) -> np.ndarra
     _check_reach(chain, start, n_steps)
     radius = ((n_steps + 1) // 2) * chain.max_jump
     jumps, probs = _float_jump_arrays(chain, start - radius, start + radius)
-    curve = _float_dp(jumps, probs[:, :, None], n_steps, chain.max_jump, absorb=True)[0]
-    return curve[:, 0]
+    returned = np.zeros((n_steps + 1, 1))
+    _float_dp(jumps, probs[:, :, None], range(1, n_steps + 1), chain.max_jump, returned)
+    # the running sum of the banked mass, added in step order
+    return np.cumsum(returned[:, 0])
 
 
 def final_distribution(chain: SiteChainDP, start: int, n_steps: int) -> np.ndarray:
@@ -379,16 +396,15 @@ def final_distribution(chain: SiteChainDP, start: int, n_steps: int) -> np.ndarr
             f"final distribution needs window >= {abs(start) + radius}"
         )
     jumps, probs = _float_jump_arrays(chain, start - radius, start + radius)
-    law = _float_dp(jumps, probs[:, :, None], n_steps, chain.max_jump, absorb=False)[1]
-    return law[:, 0]
+    state = _float_dp(jumps, probs[:, :, None], range(1, n_steps + 1), chain.max_jump)
+    return _site_laws(state, 2 * radius + 1)[:, 0]
 
 
 def float_dp_stack(
     chains: Iterable[SiteChainDP], start: int, n_steps: int, reach: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return curves and final site laws of a stack of site-kind chains,
-    advanced together on the float DP kernel: one absorbing pass and one
-    free pass for the whole stack.
+    advanced together on the float DP kernel.
 
     Row s of each result belongs to the s-th chain: curves[s] equals
     return_prob_curve(chain, start, n_steps) and laws[s] is the site law
@@ -396,6 +412,12 @@ def float_dp_stack(
     with zeros where a chain's own max_jump is below `reach`.  Each chain
     is read once, right when it is drawn, and only its float columns are
     kept, so a generator of chains holds one chain at a time.
+
+    The absorbing pass's cut cannot bite before step n_steps // 2, and
+    until then both cones fit the absorbing pass's narrow window.  So
+    the first half runs as one merged stack of 2S columns over that
+    window, the first S absorbing and the last S free; its state is then
+    split, and each half of it finishes its own pass.
     """
     radius = n_steps * reach
     columns = []
@@ -411,16 +433,25 @@ def float_dp_stack(
         raise ValueError("float DP stack needs at least one chain")
     jumps = sorted({v for chain_jumps, _ in columns for v in chain_jumps})
     position = {v: r for r, v in enumerate(jumps)}
-    probs = np.zeros((len(jumps), 2 * radius + 1, len(columns)))
+    solves = len(columns)
+    probs = np.zeros((len(jumps), 2 * radius + 1, solves))
     for s, (chain_jumps, table) in enumerate(columns):
         for v, row in zip(chain_jumps, table):
             probs[position[v], :, s] = row
     half = ((n_steps + 1) // 2) * reach
-    curves = _float_dp(
-        jumps, probs[:, radius - half : radius + half + 1], n_steps, reach, absorb=True
-    )[0]
-    laws = _float_dp(jumps, probs, n_steps, reach, absorb=False)[1]
-    return curves.T, laws.T
+    narrow = probs[:, radius - half : radius + half + 1]
+    mid = n_steps // 2
+    returned = np.zeros((n_steps + 1, solves))
+    merged = np.concatenate((narrow, narrow), axis=2)
+    dist, a, b = _float_dp(jumps, merged, range(1, mid + 1), reach, returned)
+    # row i of the merged state is [absorbing solves | free solves]
+    rows = dist.reshape(-1, 2, solves)
+    rest = range(mid + 1, n_steps + 1)
+    _float_dp(jumps, narrow, rest, reach, returned, (rows[:, 0].ravel(), a, b))
+    free = (rows[:, 1].ravel(), a + radius - half, b + radius - half)
+    laws = _site_laws(_float_dp(jumps, probs, rest, reach, state=free), 2 * radius + 1)
+    # the running sum of the banked mass, added in step order
+    return np.cumsum(returned, axis=0).T, laws.T
 
 
 def hit_before(

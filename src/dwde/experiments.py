@@ -7,7 +7,7 @@ rule is evaluated on DP-computed probabilities and the Monte Carlo
 label must agree on every environment; a mismatch fails the run loudly.
 Environments whose per-site jump law coincides share one DP solve, and
 the distinct solves are stacked, up to DP_STACK at a time, into one
-float DP pass (exact.float_dp_stack) in the calling thread.
+float DP solve (exact.float_dp_stack) in the calling thread.
 """
 
 from __future__ import annotations

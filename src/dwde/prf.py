@@ -61,11 +61,14 @@ def absorb_array(
     array of the result's shape) the round runs in place there, so per
     element it is one add, three shift-xors and two multiplies.
     """
+    return _mix_in_place(_absorb(h, k, out))
+
+
+def _absorb(h: np.ndarray | int, k: np.ndarray | int, out: np.ndarray | None) -> np.ndarray:
+    """The add that starts an absorb round: h + k + the round constant."""
     if isinstance(k, np.ndarray):
-        z = np.add(_to_u64(h), _to_u64(k) + np.uint64(_GOLDEN), out=out)
-    else:
-        z = np.add(_to_u64(h), _to_u64(_GOLDEN + k), out=out)
-    return _mix_in_place(z)
+        return np.add(_to_u64(h), _to_u64(k) + np.uint64(_GOLDEN), out=out)
+    return np.add(_to_u64(h), _to_u64(_GOLDEN + k), out=out)
 
 
 def _to_u64(x: np.ndarray | int) -> np.ndarray | np.uint64:
@@ -74,10 +77,15 @@ def _to_u64(x: np.ndarray | int) -> np.ndarray | np.uint64:
     return np.uint64(x & _MASK)
 
 
-def _mix_in_place(z: np.ndarray) -> np.ndarray:
-    """mix64 on every element of a uint64 array, in place."""
+# mix64's last step, z ^= z >> 31, changes only bits 0..32
+_LAST_XOR_BITS = np.uint64((1 << 33) - 1)
+
+
+def _mix_in_place(z: np.ndarray, last: bool = True) -> np.ndarray:
+    """mix64 on every element of a uint64 array, in place; with
+    last=False, all of it but the final shift-xor."""
     tmp = np.empty_like(z)
-    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+    for shift, mult in ((30, _M1), (27, _M2), (31, None))[: 3 if last else 2]:
         np.right_shift(z, np.uint64(shift), out=tmp)
         np.bitwise_xor(z, tmp, out=z)
         if mult is not None:
@@ -122,10 +130,14 @@ def choice_thresholds(weights: tuple[Fraction, ...]) -> np.ndarray:
     return np.array(edges, dtype=np.uint64)
 
 
-def pick(thresholds: np.ndarray, u: int) -> int:
+def pick(thresholds: np.ndarray | list[int], u: int) -> int:
     """Scalar categorical draw from interior edges: the number of edges
-    ``<= u``, as ``np.searchsorted(thresholds, u, side="right")``."""
-    return bisect_right(thresholds.tolist(), u)
+    ``<= u``, as ``np.searchsorted(thresholds, u, side="right")``.  A
+    caller drawing many sites from one law passes the edges as a list
+    of ints, which saves converting the array on every draw."""
+    if isinstance(thresholds, np.ndarray):
+        thresholds = thresholds.tolist()
+    return bisect_right(thresholds, u)
 
 
 def pick_array(
@@ -135,18 +147,45 @@ def pick_array(
 
     Counts the edges ``<= u`` one edge at a time, which equals
     ``np.searchsorted(thresholds, u, side="right")`` and for the few
-    edges of a categorical law is several times faster.  The count is
-    written to ``out`` (an integer array of u's shape, int64 by default)
-    when given.
+    edges of a categorical law is several times faster: the first
+    edge's comparison is written straight into the count, and each
+    later one added to it.  The count is written to ``out`` (an integer
+    array of u's shape, int64 by default) when given.
     """
     if out is None:
         out = np.empty(np.shape(u), dtype=np.int64)
-    out[...] = 0
-    hit = np.empty(out.shape, dtype=bool)
-    for edge in thresholds:
-        np.greater_equal(u, edge, out=hit)
-        out += hit
+    if len(thresholds) == 0:
+        out[...] = 0
+        return out
+    np.greater_equal(u, thresholds[0], out=out)
+    if len(thresholds) > 1:
+        hit = np.empty(out.shape, dtype=bool)
+        for edge in thresholds[1:]:
+            np.greater_equal(u, edge, out=hit)
+            out += hit
     return out
+
+
+def pick_keyed(
+    thresholds: np.ndarray,
+    h: np.ndarray | int,
+    k: np.ndarray | int,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Categorical draws straight from (stream, counter) pairs: equal to
+    ``pick_array(thresholds, absorb_array(h, k))``.
+
+    The last step of mix64, ``z ^= z >> 31``, leaves bits 63..33 as
+    they are, so when every edge has its low 33 bits zero, ``u >= edge``
+    holds exactly when ``z >= edge`` does before that step, and the
+    step is skipped.  That is the case for dyadic cell measures (the
+    doubling map's halves, the quadruple map's quarters).  ``work`` is
+    an optional uint64 scratch array of the result's shape for the
+    mixed draws; ``out`` receives the picks as in pick_array.
+    """
+    last = bool(np.any(thresholds & _LAST_XOR_BITS))
+    return pick_array(thresholds, _mix_in_place(_absorb(h, k, work), last), out=out)
 
 
 def markov_path(u: np.ndarray, rows: Sequence[np.ndarray], state: int) -> list[int]:

@@ -13,15 +13,17 @@ ensembles are reproducible and order-independent; batches are evaluated
 as numpy vectors across all (environment, walk) pairs at once.  A
 walk's symbols never depend on its site, so they are drawn one block of
 steps at a time: one PRF round per block, then one pick for i.i.d.
-symbols, or for Markov symbols one pick per cell and a select pass
-that follows each walk's chain (prf.markov_path for a scalar walk,
-prf.markov_paths across a batch), on threshold rows the map builds once
-(MarkovIntervalMap.symbol_rows).  A batch then steps every walk by one
-gather per step (_BatchEngine).  A caller may drop walks between blocks
-(_BatchEngine.keep), and each block spans as many steps as fit the live
-walks, so taboo_hit steps only the walks it has not decided yet.  Exact
-and scalar symbolic walks look up each visited site's jumps once per
-call.
+symbols (prf.pick_keyed, which on dyadic cell measures picks before the
+round's last shift-xor), or for Markov symbols one pick per cell and a
+select pass that follows each walk's chain (prf.markov_path for a
+scalar walk, prf.markov_paths across a batch), on threshold rows the map
+builds once (MarkovIntervalMap.symbol_rows).  A batch then steps every
+walk by one gather per step from a next-position table, on int32
+positions whenever the table allows (_BatchEngine).  A caller may drop
+walks between blocks (_BatchEngine.keep), and each block spans as many
+steps as fit the live walks, so taboo_hit steps only the walks it has
+not decided yet.  Exact and scalar symbolic walks look up each visited
+site's jumps once per call.
 """
 
 from __future__ import annotations
@@ -120,11 +122,10 @@ def _symbols(m: MarkovIntervalMap, walk_seed: int, n_steps: int):
     state = m.num_cells  # the start row
     for t in range(1, n_steps + 1, BLOCK_ELEMENTS):
         counters = np.arange(t, min(t + BLOCK_ELEMENTS, n_steps + 1), dtype=np.int64)
-        u = prf.absorb_array(key, counters)
         if m.full_branch:
-            yield from prf.pick_array(rows[-1], u).tolist()
+            yield from prf.pick_keyed(rows[-1], key, counters).tolist()
         else:
-            block = prf.markov_path(u, rows, state)
+            block = prf.markov_path(prf.absorb_array(key, counters), rows, state)
             state = block[-1]
             yield from block
 
@@ -208,15 +209,19 @@ class _BatchEngine:
     Each walk is tracked by its position in one flat (env, site, symbol)
     table: the position of site i of environment e is
     ``origin + i * num_cells``, and entry ``position + symbol`` holds the
-    position after that step.  A walk's symbols never depend on its
-    site, so they are drawn one block of steps at a time: one PRF round
-    over a (steps x walks) array, with max(1, BLOCK_ELEMENTS // walks)
-    steps per block and no block past the horizon, then one pick for a
-    full-branch map or, for a Markov-branch map, the symbol chain's
-    candidates and one gather per step (prf.markov_paths).  keep() drops
-    walks between blocks, with their streams, origins and symbol chain
-    states, and later blocks span more steps of the fewer live walks, in
-    views of the buffers allocated for the first block.  A walk's
+    position after that step.  The table, the positions and the path are
+    int32 whenever the table has fewer than 2^31 entries, and int64
+    otherwise.  A walk's symbols never depend on its site, so they are
+    drawn one block of steps at a time: one PRF round over a (steps x
+    walks) array, with max(1, BLOCK_ELEMENTS // walks) steps per block
+    and no block past the horizon, then one pick for a full-branch map
+    (prf.pick_keyed, which skips the round's last shift-xor when every
+    edge of the marginal law has its low 33 bits zero) or, for a
+    Markov-branch map, the symbol chain's candidates and one gather per
+    step (prf.markov_paths).  keep() drops walks between blocks, with
+    their streams, origins and symbol chain states, and later blocks span
+    more steps of the fewer live walks, in views of the buffers
+    allocated for the first block.  A walk's
     symbols are keyed on (stream, step), so they do not depend on where
     the blocks begin.  Walk w of
     environment e draws its i.i.d. symbols from the stream keyed on
@@ -240,12 +245,14 @@ class _BatchEngine:
         k = self.k = m.num_cells
         n_envs = len(envs)
         width = window_hi - window_lo + 1
-        deltas = k * np.array([f.jumps for f in envs[0].model.support], dtype=np.int64)
-        table = np.empty((n_envs, width, k), dtype=np.int64)
+        # positions index the table, so int32 holds them whenever it can
+        dtype = np.int32 if n_envs * width * k < 2**31 else np.int64
+        deltas = k * np.array([f.jumps for f in envs[0].model.support], dtype=dtype)
+        table = np.empty((n_envs, width, k), dtype=dtype)
         for e, env in enumerate(envs):
             table[e] = deltas[env.index_window(window_lo, window_hi)]
         # add each entry's own site position: the table holds next positions
-        table += k * np.arange(n_envs * width, dtype=np.int64).reshape(n_envs, width, 1)
+        table += k * np.arange(n_envs * width, dtype=dtype).reshape(n_envs, width, 1)
         self.table = table.ravel()
 
         env_ids = np.repeat(np.arange(n_envs, dtype=np.int64), n_walks)
@@ -253,7 +260,7 @@ class _BatchEngine:
         base = prf.hash_u64(master_seed, prf.DOMAIN_WALK)
         self.streams = prf.absorb_array(prf.absorb_array(base, env_ids), walk_ids)
         self.origin = (env_ids * width - window_lo) * k
-        self.pos = self.origin + start_sites.astype(np.int64) * k
+        self.pos = (self.origin + start_sites.astype(np.int64) * k).astype(dtype)
         self.thresholds = m.symbol_rows[-1]  # the marginal law
         self.rows = None if m.full_branch else m.symbol_rows
         if self.rows is not None:
@@ -285,8 +292,9 @@ class _BatchEngine:
         u_buf = np.empty(size, dtype=np.uint64)
         # the narrowest dtype holding a symbol: less memory per step
         symbols_buf = np.empty(size, dtype=np.min_scalar_type(self.k - 1))
-        path_buf = np.empty(size, dtype=np.int64)
-        idx_buf = np.empty(walks, dtype=np.int64)
+        path_buf = np.empty(size, dtype=self.table.dtype)
+        idx_buf = np.empty(walks, dtype=self.table.dtype)
+        take = self.table.take  # the method, without np.take's wrapper
         t = 1
         while t <= n_steps and len(self.pos):
             live = len(self.pos)
@@ -296,10 +304,10 @@ class _BatchEngine:
             path = path_buf[: n * live].reshape(n, live)
             idx = idx_buf[:live]
             counters = np.arange(t, t + n, dtype=np.int64)[:, None]
-            prf.absorb_array(self.streams, counters, out=u)
             if self.rows is None:
-                prf.pick_array(self.thresholds, u, out=symbols)
+                prf.pick_keyed(self.thresholds, self.streams, counters, out=symbols, work=u)
             else:
+                prf.absorb_array(self.streams, counters, out=u)
                 prf.markov_paths(u, self.rows, self.state, out=symbols)
                 self.state = symbols[n - 1]
             prev = self.pos
@@ -307,7 +315,7 @@ class _BatchEngine:
                 np.add(prev, symbols[r], out=idx)
                 # the window covers every walk's reach, so no index is
                 # clipped; "clip" lets take write to path unbuffered
-                np.take(self.table, idx, out=path[r], mode="clip")
+                take(idx, out=path[r], mode="clip")
                 prev = path[r]
             self.pos = prev
             yield t, path

@@ -19,8 +19,10 @@ from dwdebench.runner import LoopResult, load_reference, reference_key, run_requ
 from dwdebench.workloads import ORACLE_MIX, Workload, oracle_request  # noqa: E402
 
 # (workload, seed, request indices): the first three requests of both
-# scan workloads, and two rounds of the fourteen oracle families on two
-# seeds, so each family runs on four environment seeds
+# scan workloads, two rounds of the fourteen oracle families on two
+# seeds, so each family runs on four environment seeds, and the first
+# request of both scan workloads on eight more seeds, so a bit-identity
+# break in the batch engine or the float DP shows on ten of them
 REPLAYS = [
     ("mc-scan", 0, range(3)),
     ("mc-scan", 1, range(3)),
@@ -28,7 +30,7 @@ REPLAYS = [
     ("dp-certify", 1, range(3)),
     ("oracle-mix", 0, range(28)),
     ("oracle-mix", 1, range(28)),
-]
+] + [(name, seed, range(1)) for seed in range(2, 10) for name in ("mc-scan", "dp-certify")]
 
 
 def recorded(family: str) -> list[tuple[int, int]]:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from dwde import prf
@@ -59,6 +61,8 @@ class TestPrf:
     @pytest.mark.parametrize(
         "weights",
         [
+            (F(1),),  # no edge: one certain category
+            (F(1, 4), F(3, 4)),  # one edge
             (F(1, 3), F(2, 3)),
             (F(1, 3), F(1, 6), F(1, 2)),
             (F(1, 6), F(1, 3), F(1, 12), F(1, 4), F(1, 6)),
@@ -97,6 +101,88 @@ class TestPrf:
         rows = prf.absorb_array(h, counters, out=np.empty((3, len(h)), dtype=np.uint64))
         for row, k in zip(rows, (0, 7, -1)):
             assert np.array_equal(row, prf.absorb_array(h, k))
+
+
+# edge sets for pick_keyed: whether every edge has its low 33 bits zero
+# decides whether it compares before mix64's last shift-xor
+DYADIC_EDGES = [
+    prf.choice_thresholds((F(1),)),  # no edge
+    prf.choice_thresholds((F(1, 2), F(1, 2))),
+    prf.choice_thresholds((F(1, 4), F(1, 2), F(1, 4))),
+    np.array([0, 3 << 33, 5 << 60], dtype=np.uint64),
+]
+OTHER_EDGES = [
+    prf.choice_thresholds((F(1, 3), F(2, 3))),
+    np.array([(1 << 33) + 1], dtype=np.uint64),
+    np.array([1 << 40, (3 << 40) + (1 << 32), 1 << 62], dtype=np.uint64),
+]
+U64 = st.integers(0, 2**64 - 1)
+I64 = st.integers(-(2**63), 2**63 - 1)
+
+
+def finish(z: np.ndarray) -> np.ndarray:
+    """mix64's last step, z ^ (z >> 31)."""
+    return z ^ (z >> np.uint64(31))
+
+
+def unxorshift(y: int, s: int) -> int:
+    """The x with x ^ (x >> s) == y, on 64 bits."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def key_reaching(z: int, k: int) -> int:
+    """A key h whose absorb round with counter k holds z right before
+    mix64's last step: the round's first steps undone."""
+    mask = 2**64 - 1
+    z1 = unxorshift(z * pow(prf._M2, -1, 2**64) & mask, 27)
+    z0 = unxorshift(z1 * pow(prf._M1, -1, 2**64) & mask, 30)
+    return (z0 - prf._GOLDEN - k) & mask
+
+
+def probes(e: int) -> list[int]:
+    """z at e - 1, e, e + 1, e +/- 2^31 and e +/- 2^33, inside 64 bits."""
+    near = [e + d for d in (-1, 0, 1, -(2**31), 2**31, -(2**33), 2**33)]
+    return [z for z in near if 0 <= z < 2**64]
+
+
+class TestPickKeyed:
+    @settings(database=None, deadline=None, max_examples=200)
+    @given(
+        edges=st.sampled_from(DYADIC_EDGES + OTHER_EDGES),
+        keys=st.lists(U64, min_size=1, max_size=6),
+        counters=st.lists(I64, min_size=1, max_size=6),
+    )
+    def test_equals_pick_of_absorb(self, edges, keys, counters):
+        h = np.array(keys, dtype=np.uint64)
+        k = np.array(counters, dtype=np.int64)[:, None]
+        want = prf.pick_array(edges, prf.absorb_array(h, k))
+        assert np.array_equal(prf.pick_keyed(edges, h, k), want)
+        out = np.empty(want.shape, dtype=np.uint8)
+        work = np.empty(want.shape, dtype=np.uint64)
+        assert prf.pick_keyed(edges, h, k, out=out, work=work) is out
+        assert np.array_equal(out, want)
+        # one key over an array of counters, as a scalar walk draws
+        got = prf.pick_keyed(edges, keys[0], k[:, 0])
+        assert np.array_equal(got, prf.pick_array(edges, prf.absorb_array(keys[0], k[:, 0])))
+
+    @pytest.mark.parametrize("edges", DYADIC_EDGES[1:] + OTHER_EDGES)
+    def test_draws_next_to_an_edge(self, edges):
+        k = 7
+        for e in edges.tolist():
+            z = probes(e)
+            h = np.array([key_reaching(x, k) for x in z], dtype=np.uint64)
+            u = prf.absorb_array(h, k)
+            assert np.array_equal(u, finish(np.array(z, dtype=np.uint64)))
+            assert np.array_equal(prf.pick_keyed(edges, h, k), prf.pick_array(edges, u))
+
+    @pytest.mark.parametrize("edges", DYADIC_EDGES[1:])
+    def test_last_step_keeps_the_comparison(self, edges):
+        for e in edges.tolist():
+            z = np.array(probes(e), dtype=np.uint64)
+            assert np.array_equal(finish(z) >= np.uint64(e), z >= np.uint64(e))
 
 
 class TestModels:

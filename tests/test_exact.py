@@ -1081,11 +1081,27 @@ class TestFloatDpStack:
         assert [c.max_jump for c in chains] == [3, 2, 1, 1]
         return chains
 
+    def _unit_chains(self, window):
+        # every jump +/-1, as on mc-scan: one chain that never returns
+        mix = iid_model([fn(1, -1), fn(-1, 1)], ["1/3", "2/3"])
+        chains = [
+            build_site_chain(doubling_map(), realize(mix, 5), window),
+            build_site_chain(triple_map(), realize(fixed_model(fn(1, 1, -1)), 0), window),
+            build_site_chain(doubling_map(), realize(fixed_model(fn(1, 1)), 0), window),
+        ]
+        for c in chains:
+            assert {v for rows in c.site_transitions.values() for _, v, _ in rows[0]} <= {-1, 1}
+        return chains
+
     def test_matches_single_chain_wrappers(self):
-        reach = 3
-        chains = self._chains(48 * reach + 2)
+        # the stack merges both passes for the first n // 2 steps: n = 1
+        # merges none, and n = 3, 4 split after an odd and an even step
+        for chains_of, reach in ((self._chains, 3), (self._unit_chains, 1)):
+            self.check_against_wrappers(chains_of(48 * reach + 2), reach)
+
+    def check_against_wrappers(self, chains, reach):
         for start in (0, -1):
-            for n in (1, 2, 3, 7, 48):
+            for n in (1, 2, 3, 4, 7, 48):
                 curves, laws = float_dp_stack(iter(chains), start, n, reach)
                 assert curves.shape == (len(chains), n + 1)
                 assert laws.shape == (len(chains), 2 * n * reach + 1)

@@ -430,15 +430,15 @@ class TestBatchBitIdentity:
     def test_taboo_hit_steps_only_undecided_walks(self, monkeypatch):
         monkeypatch.setattr(walks_module, "BLOCK_ELEMENTS", 1)
         drawn = []
-        absorb = prf.absorb_array
+        pick_keyed = prf.pick_keyed
 
-        def counting(h, k, out=None):
-            z = absorb(h, k, out=out)
+        def counting(thresholds, h, k, out=None, work=None):
+            z = pick_keyed(thresholds, h, k, out=out, work=work)
             if z.ndim == 2:  # a block's (steps x walks) symbol draws
                 drawn.append(z.size)
             return z
 
-        monkeypatch.setattr(prf, "absorb_array", counting)
+        monkeypatch.setattr(prf, "pick_keyed", counting)
         horizon = 10
         decided = self.check_taboo(2, -2, horizon)
         # walk w draws the symbols of steps 1..d_w: d_w is the step that
