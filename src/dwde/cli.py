@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 internal failure or an output file that
 cannot be written, 2 usage or configuration error (an out-of-range
-argument, an unreadable or malformed input or results file included),
+argument, an unreadable or malformed input or results file included,
+a --map or --env file among them),
 3 verdict-consistency failure (Monte Carlo label contradicting the DP
 label, or a dissenting environment in a zero-one scan).
 """
@@ -17,8 +18,8 @@ from fractions import Fraction
 from . import __version__
 from .config import (
     canonical_json,
-    load_env_block,
     load_map,
+    load_map_env,
     load_scenario,
     make_dirs,
     read_json,
@@ -68,8 +69,7 @@ def _emit(payload, out: str | None) -> None:
 
 
 def _load_map_env(args):
-    m = load_map(args.map)
-    model, block_seed = load_env_block(args.env)
+    m, model, block_seed = load_map_env(args.map, args.env)
     seed = args.env_seed if args.env_seed is not None else block_seed
     return m, realize(model, seed)
 
@@ -266,8 +266,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    m = load_map(args.map)
-    model, _ = load_env_block(args.env)
+    m, model, _ = load_map_env(args.map, args.env)
     report = run_ensemble(
         m,
         model,
@@ -372,8 +371,8 @@ def _cmd_exact(args) -> int:
 
 def _cmd_structure(args) -> int:
     if args.structure_command == "linkage":
-        model, _ = load_env_block(args.env)
-        res = check_linkage(load_map(args.map), model.support)
+        m, model, _ = load_map_env(args.map, args.env)
+        res = check_linkage(m, model.support)
         _emit({"holds": res.holds, "witness": res.witness}, args.out)
         return 0
     m, env = _load_map_env(args)

@@ -3,7 +3,8 @@
 Config documents are JSON key-value trees with exact rationals written
 as "p/q" strings.  Unknown keys are rejected loudly, and the canonical
 serialization round-trips exactly, so a stored config replays the same
-experiment byte for byte.
+experiment byte for byte.  A malformed map or environment spec file
+is a ConfigError naming the file.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from .environments import (
     iid_model,
     markov_model,
     periodic_model,
+    require_cells,
     two_sided_model,
 )
-from .errors import ConfigError, DwdeError, IoFailureError
+from .errors import ConfigError, DwdeError, InvalidModelError, IoFailureError
 from .interval_maps import MarkovIntervalMap, as_fraction
 from .interval_maps import map_from_spec as _map_from_spec
 from .interval_maps import map_to_spec as _map_to_spec
@@ -49,6 +51,11 @@ def require_keys(d: dict, allowed: set, where: str = "config") -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+# what parsing a malformed spec raises: a missing key (map specs), a bad
+# number, a wrong type, or a model the library rejects
+_BAD_SPEC = (KeyError, ValueError, TypeError, DwdeError)
+
+
 def _need(d: dict, key: str, where: str):
     if key not in d:
         raise ConfigError(f"{where}: missing required key '{key}'")
@@ -66,30 +73,27 @@ def env_model_from_spec(spec: dict) -> EnvironmentModel:
         TransitionFunction(tuple(int(v) for v in jumps))
         for jumps in _need(spec, "support", "environment")
     ]
-    try:
-        if kind == "fixed":
-            if len(support) != 1:
-                raise ConfigError("environment: fixed kind takes exactly one function")
-            return fixed_model(support[0])
-        if kind == TWO_SIDED:
-            if len(support) == 2:
-                return two_sided_model(support[0], support[1])
-            if len(support) == 3:
-                return two_sided_model(support[0], support[1], support[2])
-            raise ConfigError(
-                "environment: two_sided takes [negative, nonnegative] or "
-                "[negative, nonnegative, origin]"
-            )
-        if kind == PERIODIC:
-            return periodic_model(support)
-        if kind == IID:
-            return iid_model(support, spec.get("weights"))
-        if kind == MARKOV:
-            return markov_model(
-                support, _need(spec, "transition", "environment"), spec.get("stationary")
-            )
-    except ConfigError:
-        raise
+    if kind == "fixed":
+        if len(support) != 1:
+            raise ConfigError("environment: fixed kind takes exactly one function")
+        return fixed_model(support[0])
+    if kind == TWO_SIDED:
+        if len(support) == 2:
+            return two_sided_model(support[0], support[1])
+        if len(support) == 3:
+            return two_sided_model(support[0], support[1], support[2])
+        raise ConfigError(
+            "environment: two_sided takes [negative, nonnegative] or "
+            "[negative, nonnegative, origin]"
+        )
+    if kind == PERIODIC:
+        return periodic_model(support)
+    if kind == IID:
+        return iid_model(support, spec.get("weights"))
+    if kind == MARKOV:
+        return markov_model(
+            support, _need(spec, "transition", "environment"), spec.get("stationary")
+        )
     raise ConfigError(f"environment: unknown kind {kind!r}")
 
 
@@ -129,6 +133,10 @@ class ScenarioConfig:
             raise ConfigError("divergence_margin must be inside (0, 1)")
         if not 0 < self.return_goal <= 1:
             raise ConfigError("return_goal must be inside (0, 1]")
+        try:
+            require_cells(self.environment, self.map.num_cells)
+        except InvalidModelError as err:
+            raise ConfigError(f"environment: {err}") from err
         if self.kind == "zero_one_scan" and self.environment.kind not in (IID, MARKOV):
             raise ConfigError(
                 "zero_one_scan needs a random (iid or markov) environment model"
@@ -170,7 +178,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         )
     except ConfigError:
         raise
-    except (ValueError, TypeError, DwdeError) as err:
+    except _BAD_SPEC as err:
         raise ConfigError(f"config: bad value ({err})") from err
 
 
@@ -239,16 +247,29 @@ def save_scenario(config: ScenarioConfig, path: str) -> None:
     write_text(path, canonical_json(scenario_to_dict(config)))
 
 
-def load_map(path: str) -> MarkovIntervalMap:
-    return _map_from_spec(read_json(path, "map spec"))
-
-
-def load_env_block(path: str) -> tuple[EnvironmentModel, int]:
-    """Environment spec file -> (model, seed); block seed defaults to 0."""
-    doc = read_json(path, "environment spec")
-    model = env_model_from_spec(doc)
+def _load_spec(path: str, what: str, parse):
+    """parse(the JSON document at path); any error in the document is a
+    ConfigError naming the file."""
+    doc = read_json(path, what)
     try:
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"environment spec {path}: bad seed ({err})") from err
-    return model, seed
+        return parse(doc)
+    except _BAD_SPEC as err:
+        raise ConfigError(f"{what} {path}: {err}") from err
+
+
+def load_map(path: str) -> MarkovIntervalMap:
+    return _load_spec(path, "map spec", _map_from_spec)
+
+
+def load_map_env(map_path: str, env_path: str) -> tuple[MarkovIntervalMap, EnvironmentModel, int]:
+    """Map and environment spec files -> (map, model, block seed); the
+    block seed defaults to 0."""
+    m = load_map(map_path)
+
+    def parse(doc):
+        model = env_model_from_spec(doc)
+        require_cells(model, m.num_cells)
+        return model, int(doc.get("seed", 0))
+
+    model, seed = _load_spec(env_path, "environment spec", parse)
+    return m, model, seed

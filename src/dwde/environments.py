@@ -90,6 +90,14 @@ def _check_support(support: Sequence[TransitionFunction]) -> tuple[TransitionFun
     return support
 
 
+def require_cells(model: EnvironmentModel, num_cells: int) -> None:
+    """A transition function takes one jump per cell of the map."""
+    if model.num_cells != num_cells:
+        raise InvalidModelError(
+            f"{model.num_cells}-cell functions on a {num_cells}-cell map"
+        )
+
+
 def fixed_model(f: TransitionFunction) -> EnvironmentModel:
     return EnvironmentModel(FIXED, _check_support([f]))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .environments import IID, EnvironmentRealization, realize
-from .errors import BudgetExceededError, ConsistencyError
+from .errors import ConsistencyError
 from .exact import (
     site_dist_of,
     build_site_chain,
@@ -33,12 +33,7 @@ from .exact import (
 )
 from .structure import check_linkage
 from .environments import symmetry_and_bounds
-from .walks import (
-    DEFAULT_STEP_BUDGET,
-    BatchResult,
-    env_seed_for,
-    simulate_batch,
-)
+from .walks import BatchResult, env_seed_for, require_budget, simulate_batch
 
 RECURRENT_LIKE = "recurrent-like"
 TRANSIENT_PLUS = "transient+"
@@ -143,28 +138,21 @@ def _env_fingerprint(m, env: EnvironmentRealization, window: int) -> bytes:
     return dist_class[idx].tobytes()
 
 
-def classify(
-    config: ScenarioConfig,
-    strict: bool = True,
-    budget: int = DEFAULT_STEP_BUDGET,
-) -> ClassifyResult:
+def classify(config: ScenarioConfig, strict: bool = True) -> ClassifyResult:
     """Run the Monte Carlo classifier over seeded environments.
 
     With strict=True a Monte Carlo label that contradicts the exact DP
     label raises ConsistencyError after all environments are evaluated;
-    strict=False records the mismatches instead.
+    strict=False records the mismatches instead.  An over-budget request
+    is refused before any environment is realized.
     """
     m = config.map
-    total = config.n_envs * config.n_walks * config.horizon
-    if total > budget:
-        raise BudgetExceededError(f"{total} walk-steps exceed budget {budget}")
+    require_budget(config.n_envs * config.n_walks * config.horizon)
     envs = [
         realize(config.environment, env_seed_for(config.master_seed, e))
         for e in range(config.n_envs)
     ]
-    results = simulate_batch(
-        m, envs, config.n_walks, config.horizon, config.master_seed, budget=budget
-    )
+    results = simulate_batch(m, envs, config.n_walks, config.horizon, config.master_seed)
     margin_sites = float(config.divergence_margin) * config.horizon
     return_goal = float(config.return_goal)
 
@@ -333,15 +321,17 @@ class ScanResult:
     dissenters: list[dict]
 
 
-def zero_one_scan(config: ScenarioConfig, strict: bool = True) -> ScanResult:
+def zero_one_scan(config: ScenarioConfig) -> ScanResult:
     """Empirical zero-one check: all conclusive labels must agree.
 
+    Strict, as classify's default: a label contradicting the DP raises.
     Dissenting environments are listed with their seeds for replay.
     """
-    result = classify(config, strict=strict)
+    result = classify(config)
     conclusive = [v for v in result.verdicts if v.label != INCONCLUSIVE]
     labels = [v.label for v in conclusive]
-    majority = max(set(labels), key=labels.count) if labels else None
+    # max keeps the first of equal counts, so ties follow LABELS order
+    majority = max(LABELS, key=labels.count) if labels else None
     dissenters = [
         {"env_index": v.env_index, "env_seed": v.env_seed, "label": v.label}
         for v in conclusive

@@ -226,18 +226,15 @@ def markdown_summary(result: ClassifyResult, scan: ScanResult | None = None) -> 
 
 
 def write_report(
-    result: ClassifyResult,
-    out_dir: str,
-    formats: tuple[str, ...] = ("csv", "json", "markdown"),
-    scan: ScanResult | None = None,
+    result: ClassifyResult, out_dir: str, scan: ScanResult | None = None
 ) -> dict[str, str]:
-    """Render the requested formats into out_dir; returns paths by format."""
+    """Render every RENDERERS format into out_dir; returns paths by format."""
     make_dirs(out_dir)
     payload = _payload(result, scan)
     paths = {}
-    for fmt in formats:
+    for fmt, render in RENDERERS.items():
         paths[fmt] = os.path.join(out_dir, result.config.name + _SUFFIXES[fmt])
-        write_text(paths[fmt], RENDERERS[fmt](payload))
+        write_text(paths[fmt], render(payload))
     return paths
 
 

@@ -23,7 +23,8 @@ positions whenever the table allows (_BatchEngine).  A caller may drop
 walks between blocks (_BatchEngine.keep), and each block spans as many
 steps as fit the live walks, so taboo_hit steps only the walks it has
 not decided yet.  Exact and scalar symbolic walks look up each visited
-site's jumps once per call.
+site's jumps once per call.  A batched call takes at most a fixed
+DEFAULT_STEP_BUDGET = 4·10⁹ walk-steps (environments x walks x steps).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import prf
-from .environments import EnvironmentModel, realize
+from .environments import EnvironmentModel, realize, require_cells
 from .errors import BudgetExceededError, HorizonZeroError
 from .interval_maps import MarkovIntervalMap
 
@@ -243,11 +244,16 @@ class _BatchEngine:
         window_hi: int,
     ):
         k = self.k = m.num_cells
+        model = envs[0].model
+        # one jump table serves every environment, and the gathers clip
+        require_cells(model, k)
+        if any(env.model != model for env in envs):
+            raise ValueError("a batch walks one environment model")
         n_envs = len(envs)
         width = window_hi - window_lo + 1
         # positions index the table, so int32 holds them whenever it can
         dtype = np.int32 if n_envs * width * k < 2**31 else np.int64
-        deltas = k * np.array([f.jumps for f in envs[0].model.support], dtype=dtype)
+        deltas = k * np.array([f.jumps for f in model.support], dtype=dtype)
         table = np.empty((n_envs, width, k), dtype=dtype)
         for e, env in enumerate(envs):
             table[e] = deltas[env.index_window(window_lo, window_hi)]
@@ -334,10 +340,11 @@ def _require_walks(n_walks: int, n_envs: int = 1) -> None:
         raise ValueError(f"need at least one walk, got n_walks={n_walks}")
 
 
-def _require_budget(total_steps: int, budget: int) -> None:
-    if total_steps > budget:
+def require_budget(total_steps: int) -> None:
+    """Refuse a request of more than DEFAULT_STEP_BUDGET walk-steps."""
+    if total_steps > DEFAULT_STEP_BUDGET:
         raise BudgetExceededError(
-            f"{total_steps} total steps exceed the budget of {budget}"
+            f"{total_steps} total steps exceed the budget of {DEFAULT_STEP_BUDGET}"
         )
 
 
@@ -348,7 +355,6 @@ def simulate_batch(
     n_steps: int,
     master_seed: int,
     start_site: int = 0,
-    budget: int = DEFAULT_STEP_BUDGET,
 ) -> list[BatchResult]:
     """Symbolic-mode ensembles for several environments at once.
 
@@ -360,7 +366,7 @@ def simulate_batch(
         raise HorizonZeroError("need at least one step")
     n_envs = len(envs)
     _require_walks(n_walks, n_envs)
-    _require_budget(n_envs * n_walks * n_steps, budget)
+    require_budget(n_envs * n_walks * n_steps)
     jump_bound = envs[0].model.jump_bound
     lo = start_site - n_steps * jump_bound
     hi = start_site + n_steps * jump_bound
@@ -436,7 +442,6 @@ def taboo_hit(
     query: TabooQuery,
     n_walks: int,
     walk_seed: int = 0,
-    budget: int = DEFAULT_STEP_BUDGET,
 ) -> TabooResult:
     """Monte Carlo estimate of a block taboo-hitting fraction.
 
@@ -444,7 +449,7 @@ def taboo_hit(
     points (the block's natural normalized measure).
     """
     _require_walks(n_walks)
-    _require_budget(n_walks * query.horizon, budget)
+    require_budget(n_walks * query.horizon)
     bound = env.model.jump_bound
     n = n_walks
     walk_ids = np.arange(n, dtype=np.int64)
@@ -528,19 +533,16 @@ def run_ensemble(
     mode: str = SYMBOLIC,
     master_seed: int = 0,
     start_site: int = 0,
-    budget: int = DEFAULT_STEP_BUDGET,
 ) -> EnsembleReport:
     """Seeded multi-environment ensemble with deterministic summaries."""
     if n_steps < 1:
         raise HorizonZeroError("need at least one step")
     _require_walks(n_walks, n_envs)
-    _require_budget(n_envs * n_walks * n_steps, budget)
+    require_budget(n_envs * n_walks * n_steps)
     envs = [realize(model, env_seed_for(master_seed, e)) for e in range(n_envs)]
     per_env: list[EnvSummary] = []
     if mode == SYMBOLIC:
-        results = simulate_batch(
-            m, envs, n_walks, n_steps, master_seed, start_site, budget
-        )
+        results = simulate_batch(m, envs, n_walks, n_steps, master_seed, start_site)
         for e, res in enumerate(results):
             per_env.append(EnvSummary(e, envs[e].env_seed, res))
     elif mode == EXACT:

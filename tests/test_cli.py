@@ -5,10 +5,9 @@ import json
 import pytest
 
 from dwde.cli import main
-from dwde.config import canonical_json, load_env_block, load_map, scenario_to_dict
+from dwde.config import canonical_json, load_map_env, scenario_to_dict
 from dwde.environments import realize
 from dwde.exact import build_site_chain, hit_before, return_prob_by_time
-from dwde.interval_maps import map_from_spec
 from dwde.presets import get_preset
 from dwde.walks import WalkState, env_seed_for, simulate, uniform_rational_start
 
@@ -129,8 +128,7 @@ class TestSimulateEnsemble:
              "--out", str(out)]
         )
         assert code == 0
-        m = load_map(map_path)
-        model, _ = load_env_block(str(env_path))
+        m, model, _ = load_map_env(map_path, str(env_path))
         rows = ["env_index,walk_index,final_site,min_site,max_site,first_return_time"]
         for e in range(2):
             env = realize(model, env_seed_for(5, e))
@@ -143,6 +141,47 @@ class TestSimulateEnsemble:
                     f"{'' if frt is None else frt}"
                 )
         assert out.read_text() == "\n".join(rows) + "\n"
+
+
+_DOUBLING = {
+    "breakpoints": ["0", "1/2", "1"],
+    "branches": [{"slope": "2", "intercept": "0"}, {"slope": "2", "intercept": "-1"}],
+}
+
+
+class TestMalformedSpecFiles:
+    """Bad map or environment files are configuration errors: exit 2,
+    one line naming the file, no traceback."""
+
+    @pytest.mark.parametrize(
+        "map_spec, env_spec, bad",
+        [
+            ({**_DOUBLING, "breakpoints": ["0", "x", "1"]}, {"support": [[1, -1]]}, "map"),
+            (  # slope 1: not expanding
+                {**_DOUBLING, "branches": [{"slope": "1", "intercept": "0"}] * 2},
+                {"support": [[1, -1]]},
+                "map",
+            ),
+            (_DOUBLING, {"support": [["a", 1]]}, "env"),
+            (_DOUBLING, {"support": 5}, "env"),
+            # one jump per cell of the two-cell map, no more, no fewer
+            (_DOUBLING, {"support": [[1, -1, 1]]}, "env"),
+            (_DOUBLING, {"support": [[1]]}, "env"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate", "--steps", "5"], ["ensemble", "--steps", "5", "--walks", "2"],
+         ["structure", "linkage"]],
+    )
+    def test_exit_2_naming_the_file(self, tmp_path, capsys, map_spec, env_spec, bad, command):
+        paths = {"map": tmp_path / "map.json", "env": tmp_path / "env.json"}
+        paths["map"].write_text(json.dumps(map_spec))
+        paths["env"].write_text(json.dumps({"kind": "fixed", **env_spec}))
+        assert main(command + ["--map", str(paths["map"]), "--env", str(paths["env"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(paths[bad]) in err
+        assert err.count("\n") == 1
 
 
 class TestExact:
@@ -288,9 +327,7 @@ MARKOV_MAP = {
 def _oracle_bytes(map_path, env_path, joint, query):
     """What `dwde exact hit|return` must print: the oracle's value on
     the chain of the given kind, as the CLI renders it."""
-    with open(map_path, encoding="utf-8") as fh:
-        m = map_from_spec(json.load(fh))
-    model, seed = load_env_block(env_path)
+    m, model, seed = load_map_env(map_path, env_path)
     env = realize(model, seed)
     if query[0] == "hit":
         _, down, up = query

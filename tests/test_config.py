@@ -55,10 +55,24 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="typo_walks"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("support", [[[1, -1, 1], [-1, 1, -1]], [[1], [-1]]])
+    def test_cell_count_must_match_the_map(self, support):
+        # the doubling map has two cells: one jump per cell, no more, no fewer
+        doc = scenario_doc()
+        doc["environment"]["support"] = support
+        with pytest.raises(ConfigError, match=f"{len(support[0])}-cell functions"):
+            scenario_from_dict(doc)
+
     def test_missing_key(self):
         doc = scenario_doc()
         del doc["seeds"]
         with pytest.raises(ConfigError, match="seeds"):
+            scenario_from_dict(doc)
+
+    def test_missing_map_key(self):
+        doc = scenario_doc()
+        del doc["map"]["branches"]
+        with pytest.raises(ConfigError, match="branches"):
             scenario_from_dict(doc)
 
     def test_bad_margin(self):

@@ -1,11 +1,15 @@
 """Classifier rules, DP certification, scan homogeneity, reports."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import dwde
 from dwde.config import ScenarioConfig, canonical_json
 from dwde.environments import fixed_model, fn, iid_model, realize
 from dwde.errors import BudgetExceededError
@@ -131,6 +135,16 @@ class TestClassify:
         with pytest.raises(BudgetExceededError):
             classify(small_config(n_envs=10**4, n_walks=10**4, horizon=10**5))
 
+    def test_budget_guard_comes_before_any_environment(self, monkeypatch):
+        # a scenario asking for 10^10 environments of one one-step walk is
+        # refused at once, not after realizing each environment
+        def refuse(*args):
+            raise AssertionError("realized an environment of an over-budget request")
+
+        monkeypatch.setattr("dwde.experiments.realize", refuse)
+        with pytest.raises(BudgetExceededError):
+            classify(small_config(n_envs=10**10, n_walks=1, horizon=1))
+
     def test_evidence_is_json_native(self):
         res = classify(small_config())
         payload = classify_payload(res)
@@ -189,6 +203,33 @@ class TestClassify:
             _, expect = per_env_dp(config, v.env_index)
             assert {k: v.evidence[k] for k in keys} == expect, v.env_index
 
+    @pytest.mark.parametrize(
+        "environment, n_envs, solves",
+        [
+            # {g, -g} over equal thirds: one jump law, one solve
+            (iid_model([fn(1, 1, -1), fn(1, -1, 1)]), 3, 1),
+            # the drift mixture above: every environment its own solve
+            (
+                iid_model([fn(1, 1, 1), fn(1, 1, -1), fn(1, 0, -1)], ["1/4", "1/2", "1/4"]),
+                10,
+                10,
+            ),
+        ],
+    )
+    def test_dp_dedup_builds_one_chain_per_jump_law(
+        self, monkeypatch, environment, n_envs, solves
+    ):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_site_chain(*args, **kwargs)
+
+        monkeypatch.setattr("dwde.experiments.build_site_chain", counting)
+        config = small_config(environment=environment, n_envs=n_envs, n_walks=20, horizon=90)
+        classify(config, strict=False)
+        assert len(calls) == solves
+
     def test_window_missing_the_largest_jump(self):
         # no site of either window draws the rare +/-2 function, so each
         # chain's max_jump is 1 while the model's jump bound is 2
@@ -214,6 +255,27 @@ class TestScan:
         assert scan.homogeneous
         assert scan.majority_label == TRANSIENT_PLUS
         assert scan.dissenters == []
+
+    def test_tied_majority_follows_labels_order(self):
+        # two transient+ and two transient- labels: the majority must not
+        # follow string hash order, which differs between processes
+        script = (
+            "from dwde import experiments as x\n"
+            "plus, minus = x.TRANSIENT_PLUS, x.TRANSIENT_MINUS\n"
+            "labels = [plus, minus, minus, plus]\n"
+            "verdicts = [x.Verdict(e, e, lab, {}) for e, lab in enumerate(labels)]\n"
+            "x.classify = lambda config: x.ClassifyResult(config, verdicts, {}, False, True)\n"
+            "print(x.zero_one_scan(None).majority_label)\n"
+        )
+        src = os.path.dirname(os.path.dirname(dwde.__file__))
+        printed = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            printed.add(out.stdout.strip())
+        assert printed == {TRANSIENT_PLUS}
 
     def test_requires_random_environment(self):
         from dwde.errors import ConfigError

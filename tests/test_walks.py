@@ -9,7 +9,12 @@ from scipy.stats import ks_2samp
 from dwde import prf
 from dwde import walks as walks_module
 from dwde.environments import fixed_model, fn, iid_model, markov_model, realize, shift
-from dwde.errors import BudgetExceededError, HorizonZeroError, OutOfDomainError
+from dwde.errors import (
+    BudgetExceededError,
+    HorizonZeroError,
+    InvalidModelError,
+    OutOfDomainError,
+)
 from dwde.exact import build_site_chain, return_prob_curve
 from dwde.interval_maps import apply, build_map, doubling_map, symbols_of_orbit, triple_map
 from dwde.walks import (
@@ -295,6 +300,22 @@ class TestBatch:
         env = realize(fixed_model(fn(1, -1)), 0)
         with pytest.raises(BudgetExceededError):
             simulate_batch(m, [env], 10**6, 10**6, 0)
+
+    def test_mixed_models_are_rejected(self):
+        # one jump table serves a batch: a second model's +2 jumps would
+        # be read off the first model's table
+        m = doubling_map()
+        envs = [realize(fixed_model(fn(1, -1)), 0), realize(fixed_model(fn(2, 2)), 0)]
+        with pytest.raises(ValueError, match="one environment model"):
+            simulate_batch(m, envs, 3, 10, 0)
+        (alone,) = simulate_batch(m, envs[1:], 3, 10, 0)
+        assert alone.final_sites.tolist() == [20, 20, 20]
+
+    @pytest.mark.parametrize("jumps", [(1,), (1, -1, 1)])
+    def test_cell_count_must_match_the_map(self, jumps):
+        env = realize(fixed_model(fn(*jumps)), 0)
+        with pytest.raises(InvalidModelError, match=f"{len(jumps)}-cell functions on a 2-cell"):
+            simulate_batch(doubling_map(), [env], 3, 10, 0)
 
     def test_empty_batch(self):
         m = doubling_map()
