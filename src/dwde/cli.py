@@ -179,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--map", required=True)
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--out", default=None)
+    q.set_defaults(parser=q)
 
     q = ex.add_parser("series", help="weighted return-series diagnostic")
     _add_map_env_flags(q)
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("graph", "classes"):
         q = st.add_parser(name)
         _add_map_env_flags(q)
-        q.add_argument("--window", type=int, default=10)
+        q.add_argument("--window", type=_positive_int, default=10)
         q.add_argument("--out", default=None)
     q = st.add_parser("linkage")
     q.add_argument("--map", required=True)
@@ -316,6 +317,8 @@ def _cmd_exact(args) -> int:
         return 0
     if args.exact_command == "certificate":
         m = load_map(args.map)
+        if not 1 <= args.r <= m.num_cells - 1:
+            raise UsageError(f"--r must be within 1..{m.num_cells - 1} for this map")
         cert = transience_certificate(m, args.r)
         _emit(
             {

@@ -90,12 +90,18 @@ def _check_support(support: Sequence[TransitionFunction]) -> tuple[TransitionFun
     return support
 
 
-def require_cells(model: EnvironmentModel, num_cells: int) -> None:
-    """A transition function takes one jump per cell of the map."""
-    if model.num_cells != num_cells:
-        raise InvalidModelError(
-            f"{model.num_cells}-cell functions on a {num_cells}-cell map"
-        )
+def require_cells(
+    model: EnvironmentModel | Sequence[TransitionFunction] | None, num_cells: int
+) -> None:
+    """A transition function takes one jump per cell of the map.
+
+    Checks a model or a bare support.  None, the model of an environment
+    read only through `at`, is not checked.
+    """
+    support = model.support if isinstance(model, EnvironmentModel) else model or ()
+    for f in support:
+        if len(f.jumps) != num_cells:
+            raise InvalidModelError(f"{len(f.jumps)}-cell functions on a {num_cells}-cell map")
 
 
 def fixed_model(f: TransitionFunction) -> EnvironmentModel:

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .elimination import RHS, solve
-from .environments import EnvironmentRealization, TransitionFunction
+from .environments import EnvironmentRealization, TransitionFunction, require_cells
 from .errors import (
     DegenerateAlphaError,
     EnumerationTooLargeError,
@@ -129,6 +129,7 @@ def build_site_chain(
     """
     if window < 1:
         raise WindowTooSmallError("window must be >= 1")
+    require_cells(getattr(env, "model", None), m.num_cells)
     if not m.full_branch and not joint:
         raise UnsupportedBaseError(
             "non-full-branch base needs the joint (symbol, site) chain"
@@ -589,6 +590,7 @@ def first_passage_measure(
         raise ValueError("direction must be -1 or +1")
     if not m.full_branch:
         raise UnsupportedBaseError("first-passage reduction needs a full-branch base")
+    require_cells(getattr(env, "model", None), m.num_cells)
     sites = range(-k, 1) if direction == -1 else range(0, k + 1)
     # jump laws as integers over den, the lcm of the cell measures'
     den = lcm(*(p.denominator for p in m.measures))
@@ -788,6 +790,7 @@ def series_diagnostic(
         raise ValueError("cell out of range")
     if lag_max < 0:
         raise ValueError(f"lag_max must be >= 0, got {lag_max}")
+    require_cells(getattr(env, "model", None), m.num_cells)
     n_cells = m.num_cells
     rows = m.symbol_law
     den = lcm(*(p.denominator for row in rows for _, p in row))

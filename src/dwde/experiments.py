@@ -5,9 +5,11 @@ walk statistics.  Finite-horizon divergence is a heuristic, so whenever
 the exact site-chain reduction applies (full-branch base), the same
 rule is evaluated on DP-computed probabilities and the Monte Carlo
 label must agree on every environment; a mismatch fails the run loudly.
-Environments whose per-site jump law coincides share one DP solve, and
-the distinct solves are stacked, up to DP_STACK at a time, into one
-float DP solve (exact.float_dp_stack) in the calling thread.
+Every environment shares one DP solve when the model draws nothing
+(fixed, two-sided or periodic) or when all its support functions have
+the same per-site jump law; otherwise each environment is solved on its
+own.  The solves are stacked, up to DP_STACK at a time, into one float
+DP solve (exact.float_dp_stack) in the calling thread.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import ScenarioConfig
-from .environments import IID, EnvironmentRealization, realize
+from .environments import IID, MARKOV, realize
 from .errors import ConsistencyError
 from .exact import (
     site_dist_of,
@@ -123,21 +125,6 @@ def _dp_stats(
     }
 
 
-def _env_fingerprint(m, env: EnvironmentRealization, window: int) -> bytes:
-    """Environments with the same per-site jump law share one DP solve.
-
-    Distinct support functions can induce identical jump distributions
-    (e.g. g and -g over equal half-cells), so sites are keyed by their
-    distribution class, not by the drawn function index.
-    """
-    dists = [site_dist_of(m, f) for f in env.model.support]
-    classes: dict = {}
-    ids = [classes.setdefault(d, len(classes)) for d in dists]
-    dist_class = np.array(ids, dtype=np.int64)
-    idx = env.index_window(-window, window)
-    return dist_class[idx].tobytes()
-
-
 def classify(config: ScenarioConfig, strict: bool = True) -> ClassifyResult:
     """Run the Monte Carlo classifier over seeded environments.
 
@@ -159,30 +146,30 @@ def classify(config: ScenarioConfig, strict: bool = True) -> ClassifyResult:
     dp_checked = m.full_branch
     dp_rows: list[dict | None] = [None] * config.n_envs
     if dp_checked:
-        bound = config.environment.jump_bound
+        model = config.environment
+        bound = model.jump_bound
         window = config.horizon * bound
-        # each environment takes the solve of the first one that shares
-        # its fingerprint
-        seen: dict[bytes, int] = {}
-        first = [
-            seen.setdefault(_env_fingerprint(m, env, window), e)
-            for e, env in enumerate(envs)
-        ]
-        solve = [e for e, f in enumerate(first) if f == e]
-        stats: dict[int, dict] = {}
+        # one chain serves every environment when the model draws nothing
+        # or every support function has the same jump law
+        jump_laws = {site_dist_of(m, f) for f in model.support}
+        shared = model.kind not in (IID, MARKOV) or len(jump_laws) == 1
+        solve = envs[:1] if shared else envs
+        dp_rows = []
         for k in range(0, len(solve), DP_STACK):
-            stack = solve[k : k + DP_STACK]
             # a generator: each chain is dropped once the stack has read
             # its float columns
             curves, laws = float_dp_stack(
-                (build_site_chain(m, envs[e], window + 1) for e in stack),
+                (build_site_chain(m, env, window + 1) for env in solve[k : k + DP_STACK]),
                 0,
                 config.horizon,
                 bound,
             )
-            for e, curve, law in zip(stack, curves, laws):
-                stats[e] = _dp_stats(curve, law, config.horizon, margin_sites)
-        dp_rows = [stats[f] for f in first]
+            dp_rows += [
+                _dp_stats(curve, law, config.horizon, margin_sites)
+                for curve, law in zip(curves, laws)
+            ]
+        if shared:
+            dp_rows *= config.n_envs
 
     verdicts: list[Verdict] = []
     mismatches: list[int] = []

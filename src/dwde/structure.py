@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Sequence
 
-from .environments import TransitionFunction
+from .environments import TransitionFunction, require_cells
 from .interval_maps import MarkovIntervalMap
 
 Node = tuple[int, int]  # (cell index, site)
@@ -54,6 +54,7 @@ def build_skew_graph(m: MarkovIntervalMap, env, window: int) -> SkewGraph:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    require_cells(getattr(env, "model", None), m.num_cells)
     n_cells = m.num_cells
     n_sites = 2 * window + 1
     nodes = [(j, i) for i in range(-window, window + 1) for j in range(n_cells)]
@@ -202,6 +203,7 @@ def check_linkage(
     linkage structure for the shipped model class; it is not a decision
     procedure for arbitrary environments.
     """
+    require_cells(support, m.num_cells)
     if m.num_cells < 2:
         return LinkageResult(False, "need at least two partition cells")
     if not m.full_branch:

@@ -148,6 +148,7 @@ def simulate(
     """
     if n_steps < 1:
         raise HorizonZeroError("need at least one step")
+    require_cells(getattr(env, "model", None), m.num_cells)
     site = start.site
     min_site = max_site = site
     first_return = None

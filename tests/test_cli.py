@@ -291,11 +291,23 @@ class TestExact:
                 "--lags: must be a non-negative integer",
                 id="series-negative-lags",
             ),
+            pytest.param(
+                ["certificate", "--r", "5"],
+                "--r must be within 1..2",
+                id="certificate-r-5",
+            ),
+            pytest.param(
+                ["certificate", "--r", "0"],
+                "--r must be within 1..2",
+                id="certificate-r-0",
+            ),
         ],
     )
     def test_argument_errors_are_usage_errors(self, spec_files, capsys, query, message):
         map_path, env_path = spec_files
-        files = [] if query[0] == "paths" else ["--map", map_path, "--env", env_path]
+        files = {"paths": [], "certificate": ["--map", map_path]}.get(
+            query[0], ["--map", map_path, "--env", env_path]
+        )
         assert main(["exact", *query, *files]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -393,6 +405,19 @@ class TestStructure:
         payload = json.loads(capsys.readouterr().out)
         assert payload["window"] == 3
         assert payload["classes"]
+
+    @pytest.mark.parametrize("command", ["graph", "classes"])
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_window_must_be_positive(self, spec_files, capsys, command, window):
+        map_path, env_path = spec_files
+        code = main(
+            ["structure", command, "--map", map_path, "--env", env_path,
+             "--window", window]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: dwde structure {command}")
+        assert "--window: must be a positive integer" in err and "Traceback" not in err
 
     def test_linkage(self, spec_files, capsys):
         map_path, env_path = spec_files

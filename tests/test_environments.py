@@ -26,8 +26,23 @@ from dwde.environments import (
     _solve_stationary,
 )
 from dwde.errors import InvalidModelError
+from dwde.exact import build_site_chain, first_passage_measure, series_diagnostic
+from dwde.interval_maps import doubling_map
+from dwde.structure import build_skew_graph, check_linkage
+from dwde.walks import EXACT, WalkState, simulate
 
 F = Fraction
+
+# every library entry point that pairs a map with an environment
+ENTRY_POINTS = {
+    "build_site_chain": lambda m, env: build_site_chain(m, env, 3),
+    "first_passage_measure": lambda m, env: first_passage_measure(m, env, 1, 2),
+    "series_diagnostic": lambda m, env: series_diagnostic(m, env, 0, "1/2", 4),
+    "build_skew_graph": lambda m, env: build_skew_graph(m, env, 2),
+    "check_linkage": lambda m, env: check_linkage(m, env.model.support),
+    "simulate": lambda m, env: simulate(m, env, WalkState(None, 0), 4),
+    "simulate-exact": lambda m, env: simulate(m, env, WalkState(F(1, 3), 0), 4, mode=EXACT),
+}
 
 
 class TestPrf:
@@ -245,6 +260,14 @@ class TestModels:
             _solve_stationary(((F(1), F(0)), (F(0), F(1))))
         with pytest.raises(InvalidModelError):
             _solve_stationary(((F(1), F(0), F(0)), (F(0), F(1, 2), F(1, 2)), (F(0), F(1, 2), F(1, 2))))
+
+
+    @pytest.mark.parametrize("jumps", [(1,), (1, -1, 1)])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_cell_count_must_match_the_map(self, entry, jumps):
+        env = realize(fixed_model(fn(*jumps)), 0)
+        with pytest.raises(InvalidModelError, match=f"{len(jumps)}-cell functions on a 2-cell"):
+            ENTRY_POINTS[entry](doubling_map(), env)
 
 
 class TestRealization:

@@ -11,7 +11,14 @@ import pytest
 
 import dwde
 from dwde.config import ScenarioConfig, canonical_json
-from dwde.environments import fixed_model, fn, iid_model, realize
+from dwde.environments import (
+    EnvironmentRealization,
+    fixed_model,
+    fn,
+    iid_model,
+    periodic_model,
+    realize,
+)
 from dwde.errors import BudgetExceededError
 from dwde.exact import build_site_chain, final_distribution, return_prob_curve
 from dwde.experiments import (
@@ -214,6 +221,8 @@ class TestClassify:
                 10,
                 10,
             ),
+            # two jump laws, but a periodic model draws nothing: one solve
+            (periodic_model([fn(1, 1, -1), fn(1, -1, -1)]), 3, 1),
         ],
     )
     def test_dp_dedup_builds_one_chain_per_jump_law(
@@ -229,6 +238,32 @@ class TestClassify:
         config = small_config(environment=environment, n_envs=n_envs, n_walks=20, horizon=90)
         classify(config, strict=False)
         assert len(calls) == solves
+
+    @pytest.mark.parametrize(
+        "environment, n_envs, draws",
+        [
+            # one walk table per environment, one chain for all three
+            (iid_model([fn(1, 1, -1), fn(1, -1, 1)]), 3, 4),
+            # one walk table and one chain per environment
+            (
+                iid_model([fn(1, 1, 1), fn(1, 1, -1), fn(1, 0, -1)], ["1/4", "1/2", "1/4"]),
+                10,
+                20,
+            ),
+        ],
+    )
+    def test_window_draws_per_classify(self, monkeypatch, environment, n_envs, draws):
+        calls = []
+        index_window = EnvironmentRealization.index_window
+
+        def counting(env, lo, hi):
+            calls.append((lo, hi))
+            return index_window(env, lo, hi)
+
+        monkeypatch.setattr(EnvironmentRealization, "index_window", counting)
+        config = small_config(environment=environment, n_envs=n_envs, n_walks=20, horizon=90)
+        classify(config, strict=False)
+        assert len(calls) == draws
 
     def test_window_missing_the_largest_jump(self):
         # no site of either window draws the rare +/-2 function, so each
